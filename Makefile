@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stream test-faults test-server bench bench-smoke bench-backends bench-tcp bench-check docs-check hygiene-check lint run-checks check
+.PHONY: test test-stream test-faults test-server check-paper bench bench-smoke bench-backends bench-tcp bench-check docs-check hygiene-check lint run-checks check
 
 # The static gates run first so doc drift, a stale benchmark JSON,
 # tracked build artifacts, or a lint invariant violation fail tier-1
@@ -34,6 +34,13 @@ test-faults:
 # kill-mid-query bound (all of it also rides in `make test`).
 test-server:
 	$(PYTHON) -m pytest tests/test_query_server.py -q
+
+# The paper figure/table benches: each bench_*.py under benchmarks/
+# asserts one of the paper's figures or tables on simulated telemetry.
+# They are not collected by the tier-1 run (pytest's default file
+# pattern is test_*.py).
+check-paper:
+	$(PYTHON) -m pytest -q benchmarks/ -o python_files='bench_*.py'
 
 # Fast sanity pass over the throughput benchmark (small fleet, no JSON).
 bench-smoke:

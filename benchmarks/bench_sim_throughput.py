@@ -3,14 +3,12 @@
 Measures windows/sec and samples/sec on a large synthetic fleet (1000
 servers x 1000 windows) for:
 
-* the seed ``legacy`` per-sample path (measured over a window subset
-  and extrapolated — it is ~2 orders of magnitude slower);
-* the ``per-sample`` compatibility shim (vectorized emission, one
-  store call per sample — also measured over a subset), so every
+* the seed ``legacy`` per-server path (measured over a window subset
+  and extrapolated — it is ~2 orders of magnitude slower), so every
   CLI-exposed engine has a priced row (``tools/bench_check.py``
   enforces this from ``make test``);
-* the PR 1 ``batch`` engine (per-window columnar emission + batched
-  ingest) — the baseline every later configuration is judged against;
+* the ``batch`` engine at block 1 (the block kernel stepping window by
+  window) — the baseline every later configuration is judged against;
 * a sweep of (shards, workers, block_windows, backend) configurations
   combining the sharded store (:class:`~repro.telemetry.sharding.\
 ShardedMetricStore`) with cross-window block emission
@@ -70,14 +68,11 @@ WINDOWS = 1000
 #: Windows actually executed on the slow legacy engine before
 #: extrapolating its per-window rate.
 LEGACY_WINDOWS = 60
-#: Windows for the per-sample compatibility shim (same emission as
-#: batch, one store call per sample — slow enough to subset too).
-PER_SAMPLE_WINDOWS = 120
 
 #: Required speedup of the columnar engine over the seed path.
 TARGET_SPEEDUP = 5.0
 #: Required speedup of the best (shards, workers, block) configuration
-#: over the plain per-window batch engine.
+#: over the batch engine at block 1.
 TARGET_BLOCK_SPEEDUP = 1.5
 
 #: The (shards, workers, block_windows, backend) sweep.  Single-shard +
@@ -270,8 +265,8 @@ def _measure(
         "samples": samples,
         "windows_per_sec": n_windows / elapsed,
         "samples_per_sec": samples / elapsed,
-        # Per-stage wall-clock of the blocked engine (demand tensor /
-        # counter emission / store ingest); zeros on per-window runs.
+        # Per-stage wall-clock of the batch engine (demand tensor /
+        # counter emission / store ingest); zeros on legacy runs.
         "stages": {k: round(v, 6) for k, v in sim.stage_seconds.items()},
     }
 
@@ -461,7 +456,6 @@ def run_benchmark(
     windows: int = WINDOWS,
     servers: int = SERVERS,
     legacy_windows: int = LEGACY_WINDOWS,
-    per_sample_windows: int = PER_SAMPLE_WINDOWS,
     stream_windows: int = STREAM_WINDOWS,
     stream_servers: int = STREAM_SERVERS,
     stream_retain: int = STREAM_RETAIN,
@@ -469,7 +463,6 @@ def run_benchmark(
 ) -> dict:
     batch = _measure("batch", windows, servers)
     legacy = _measure("legacy", legacy_windows, servers)
-    per_sample = _measure("per-sample", per_sample_windows, servers)
     configs = [
         _measure("batch", windows, servers, **config) for config in CONFIGS
     ]
@@ -486,7 +479,6 @@ def run_benchmark(
         "fleet": {"pool": "B", "servers": servers, "windows": windows},
         "batch": batch,
         "legacy": legacy,
-        "per_sample": per_sample,
         "configs": configs,
         "streaming": streaming,
         "query_latency": query_latency,
@@ -598,12 +590,6 @@ def _print_result(result: dict) -> None:
         f"({legacy['samples_per_sec']:,.0f} samples/s) over "
         f"{legacy['windows']} windows (extrapolated)"
     )
-    per_sample = result["per_sample"]
-    print(
-        f"per-sample shim: {per_sample['windows_per_sec']:8.1f} windows/s "
-        f"({per_sample['samples_per_sec']:,.0f} samples/s) over "
-        f"{per_sample['windows']} windows (extrapolated)"
-    )
     for entry in result["configs"]:
         print(
             f"  {_config_label(entry):48s} {entry['windows_per_sec']:8.1f} windows/s "
@@ -713,7 +699,6 @@ if __name__ == "__main__":
             windows=60,
             servers=100,
             legacy_windows=10,
-            per_sample_windows=20,
             stream_windows=2000,
             stream_servers=32,
             stream_retain=256,

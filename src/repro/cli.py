@@ -24,13 +24,15 @@ from typing import List, Optional
 
 from repro.cluster.builders import PAPER_DATACENTERS, build_paper_fleet
 from repro.cluster.service import service_catalog
-from repro.cluster.simulation import DEFAULT_COUNTERS, SimulationConfig, Simulator
+from repro.cluster.simulation import (
+    DEFAULT_COUNTERS, ENGINES, SimulationConfig, Simulator,
+)
 from repro.telemetry.sharding import ShardedMetricStore
 from repro.telemetry.store import MetricStore
 from repro.telemetry.workers import ShardServer
 from repro.core.availability import study_fleet_availability
 from repro.core.metric_validation import MetricValidator
-from repro.core.planner import CapacityPlanner
+from repro.core.planner import CapacityPlanner, PoolPlanningError
 from repro.core.slo import QoSRequirement
 from repro.telemetry.export import export_store, import_store
 
@@ -48,6 +50,22 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type for finite float flags >= 0 (clean error, exit 2)."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _servers_per_deployment(text: str) -> int:
+    """argparse type for ``--servers``: a pool needs at least 2 servers."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
     return value
 
 
@@ -450,7 +468,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     planner = CapacityPlanner(
         store, qos, survive_dc_loss=not args.no_dr
     )
-    plan = planner.plan()
+    try:
+        plan = planner.plan()
+    except PoolPlanningError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(plan.render_savings_table())
     print(
         f"\nfleet-wide: {plan.mean_total_savings:.0%} total savings at "
@@ -494,20 +516,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive path (.csv or .csv.gz); omit to only print throughput "
              "(large-fleet benchmarking runs)",
     )
-    simulate.add_argument("--days", type=float, default=2.0)
+    simulate.add_argument("--days", type=_nonnegative_float, default=2.0)
     simulate.add_argument(
-        "--windows", type=int, default=None,
+        "--windows", type=_nonnegative_int, default=None,
         help="simulate exactly N windows (overrides --days; 720 windows = 1 day)",
     )
-    simulate.add_argument("--servers", type=int, default=6, help="servers per deployment")
+    simulate.add_argument(
+        "--servers", type=_servers_per_deployment, default=6,
+        help="servers per deployment (>= 2)",
+    )
     simulate.add_argument(
         "--datacenters", type=int, default=9, choices=range(1, 10), metavar="1-9"
     )
     simulate.add_argument("--pools", default=None, help="comma-separated pool letters")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
-        "--engine", default="batch", choices=("batch", "per-sample", "legacy"),
-        help="simulation engine (batch = vectorized columnar default)",
+        "--engine", default="batch", choices=ENGINES,
+        help="simulation engine (batch = columnar block kernel, the "
+             "default; legacy = the seed per-server loop)",
     )
     simulate.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",

@@ -140,14 +140,27 @@ class RollingMaintenance:
             return np.ones((windows.size, max(n_servers, 0)), dtype=bool)
         downtime = max(int(round(self.daily_downtime_fraction * WINDOWS_PER_DAY)), 1)
         day_offset = (windows % WINDOWS_PER_DAY)[:, None]
-        slot_start = (
-            np.arange(n_servers, dtype=float) / n_servers * WINDOWS_PER_DAY
-        ).astype(np.int64)[None, :]
-        slot_end = slot_start + downtime
+        slot_start, slot_end = _maintenance_slots(n_servers, downtime)
         plain = (slot_start <= day_offset) & (day_offset < slot_end)
         wrapped = (day_offset >= slot_start) | (day_offset < slot_end - WINDOWS_PER_DAY)
         offline = np.where(slot_end <= WINDOWS_PER_DAY, plain, wrapped)
         return ~offline
+
+
+@lru_cache(maxsize=256)
+def _maintenance_slots(n_servers: int, downtime: int) -> tuple:
+    """Read-only ``(1, n_servers)`` slot start and end rows, cached.
+
+    Staggered starts depend only on the pool size, so the mask of every
+    window of a pool reuses one pair of vectors.
+    """
+    slot_start = (
+        np.arange(n_servers, dtype=float) / n_servers * WINDOWS_PER_DAY
+    ).astype(np.int64)[None, :]
+    slot_end = slot_start + downtime
+    slot_start.setflags(write=False)
+    slot_end.setflags(write=False)
+    return slot_start, slot_end
 
 
 @dataclass(frozen=True)
@@ -333,29 +346,13 @@ class RandomFailures:
         offset = window % WINDOWS_PER_DAY
         return start <= offset < start + self.duration_windows
 
-    def failed_mask(self, n_servers: int, window: int) -> np.ndarray:
-        """Vectorized :meth:`is_failed` over the whole pool.
+    def failed_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
+        """(n_windows, n_servers) grid of vectorized :meth:`is_failed`.
 
         The per-(server, day) draws are cached, so the per-server
-        generator seeding costs once per day rather than per window.
-        """
-        if self.daily_probability <= 0.0 or n_servers < 1:
-            return np.zeros(max(n_servers, 0), dtype=bool)
-        day = window // WINDOWS_PER_DAY
-        draws, starts = _failure_draws_for_day(self.seed, n_servers, day)
-        offset = window % WINDOWS_PER_DAY
-        return (
-            (draws < self.daily_probability)
-            & (starts <= offset)
-            & (offset < starts + self.duration_windows)
-        )
-
-    def failed_mask_block(self, n_servers: int, windows: np.ndarray) -> np.ndarray:
-        """(n_windows, n_servers) grid of :meth:`failed_mask` rows.
-
-        One cached per-day draw lookup per distinct day in the block
-        (instead of one per window), with the day's rows filled by a
-        single broadcast comparison.
+        generator seeding costs once per day; each distinct day in the
+        block costs one lookup, its rows filled by a single broadcast
+        comparison.
         """
         windows = np.asarray(windows, dtype=np.int64)
         if self.daily_probability <= 0.0 or n_servers < 1:

@@ -1,40 +1,36 @@
 """Discrete-time fleet simulation engine (columnar hot path).
 
-Advances the fleet window by window (one telemetry window = 120 s):
+Advances the fleet in blocks of windows (one telemetry window = 120 s):
 
 1. compute each deployment's offered demand from its diurnal pattern,
-   multiplicative noise, active surges, and outage-driven failover;
+   multiplicative noise, active surges, and outage-driven failover —
+   one ``(windows x deployments)`` tensor per block;
 2. apply availability policies, random failures and outages to decide
-   which servers are online — as one boolean mask per pool;
+   which servers are online — as one boolean (windows x servers) grid
+   per pool;
 3. route traffic evenly across online servers and emit each counter for
-   *all* of a pool's servers as one NumPy array
-   (:func:`repro.cluster.server.observe_pool`), which the
-   :class:`~repro.telemetry.store.MetricStore` ingests through its
-   batched :meth:`~repro.telemetry.store.MetricStore.record_batch` API.
+   every online (window, server) cell of a pool as one NumPy array
+   (:func:`repro.cluster.server.observe_pool_block`), which the
+   :class:`~repro.telemetry.store.MetricStore` ingests with one
+   :meth:`~repro.telemetry.store.MetricStore.record_columns` call per
+   counter.
 
-The columnar data flow — mask arrays in, counter arrays out, whole
-arrays appended per (pool, counter, window) — is what lets thousand
+The columnar data flow — mask grids in, counter arrays out, whole
+arrays appended per (pool, counter, block) — is what lets thousand
 server fleets advance at array speed instead of per-sample Python
-speed.  Three interchangeable engines share the experiment controls:
+speed.  Two engines share the experiment controls:
 
-* ``"batch"`` (default) — vectorized emission, batched ingest;
-* ``"per-sample"`` — the *same* vectorized emission (identical RNG
-  draws, hence bit-identical counter values) ingested one sample at a
-  time through the compatibility shims; exists to prove old/new
-  equivalence and to measure ingest overhead in isolation;
+* ``"batch"`` (default) — the block kernel above;
 * ``"legacy"`` — the original per-server ``Server.observe`` loop, kept
-  as the seed-faithful baseline for throughput benchmarks.
+  as the opt-in seed reference the equivalence baselines compare
+  against.
 
-The ``batch`` engine additionally supports **cross-window block
-emission** (:attr:`SimulationConfig.block_windows` > 1): the fleet
-advances ``block_windows`` windows per step, each deployment emitting
-one (windows x servers) block per counter through
-:func:`repro.cluster.server.observe_pool_block` and ingesting it with a
-single ``record_columns`` call — amortizing the per-window Python and
-RNG-call overhead that dominates small fleets.  A block of one window
-is bit-identical to per-window batch stepping; larger blocks are
-statistically equivalent (identical availability masks and sample
-counts, same distributions, different RNG draw shapes).
+:attr:`SimulationConfig.block_windows` sets how many windows the batch
+engine advances per step.  The default of 1 steps window by window;
+larger blocks amortize the per-window Python and RNG-call overhead that
+dominates small fleets.  Every block size keeps identical availability
+masks and sample counts; noisy counters differ between block sizes
+only in the shapes of their RNG draws (statistically equivalent).
 
 The store may be a single :class:`~repro.telemetry.store.MetricStore`
 or a :class:`~repro.telemetry.sharding.ShardedMetricStore`; the
@@ -47,9 +43,9 @@ outages and surges — are the experimental controls of §II-B and §II-D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,11 +58,10 @@ from repro.cluster.faults import (
     RepurposingPolicy,
     TrafficSurge,
     policy_for_availability,
-    policy_online_mask,
     policy_online_mask_block,
 )
-from repro.cluster.server import ServerState, observe_pool, observe_pool_block
-from repro.telemetry.counters import Counter, workload_counter
+from repro.cluster.server import ServerState, observe_pool_block
+from repro.telemetry.counters import Counter, CounterSample, workload_counter
 from repro.telemetry.sharding import ShardedMetricStore
 from repro.telemetry.store import MetricStore
 from repro.workload.demand_engine import DemandEngine
@@ -83,7 +78,7 @@ DEFAULT_COUNTERS: Tuple[str, ...] = (
 )
 
 #: Valid values of :attr:`SimulationConfig.engine`.
-ENGINES: Tuple[str, ...] = ("batch", "per-sample", "legacy")
+ENGINES: Tuple[str, ...] = ("batch", "legacy")
 
 _WORKLOAD_PREFIX = "Requests/sec["
 
@@ -106,16 +101,13 @@ class SimulationConfig:
     #: Apply each profile's availability_mean as a policy (True for
     #: fleet studies; False for controlled reduction experiments).
     apply_availability_policies: bool = True
-    #: Simulation engine: "batch" (vectorized emission + batched
-    #: ingest, the default), "per-sample" (same emission, per-sample
-    #: ingest — bit-identical telemetry, used for equivalence tests),
-    #: or "legacy" (the original per-server Python loop).
+    #: Simulation engine: "batch" (the columnar block kernel, the
+    #: default) or "legacy" (the original per-server Python loop).
     engine: str = "batch"
     #: Cross-window block size for the batch engine: :meth:`Simulator.run`
     #: advances the fleet this many windows per step, emitting one
     #: (windows x servers) block per counter per deployment.  1 (the
-    #: default) is plain per-window batch stepping; >1 requires the
-    #: "batch" engine.
+    #: default) steps window by window; >1 requires the "batch" engine.
     block_windows: int = 1
 
     def __post_init__(self) -> None:
@@ -171,9 +163,9 @@ class Simulator:
         #: Per-deployment cache of the emission counter set passed to
         #: the observe functions (None = emit everything).
         self._emit_cache: Dict[Tuple[str, str], Tuple[tuple, FrozenSet[str]]] = {}
-        #: Cumulative seconds per stage of the blocked engine
-        #: (demand tensor build / counter emission / store ingest);
-        #: per-window engines leave these at zero.
+        #: Cumulative seconds per stage of the batch engine (demand
+        #: tensor build / counter emission / store ingest); the legacy
+        #: engine leaves these at zero.
         self.stage_seconds: Dict[str, float] = {
             "demand": 0.0, "observe": 0.0, "ingest": 0.0,
         }
@@ -250,9 +242,6 @@ class Simulator:
     def _outage_active(self, datacenter_id: str, window: int) -> bool:
         return self._demand_engine.outage_active(datacenter_id, window)
 
-    def _surge_factor(self, pool_id: str, datacenter_id: str, window: int) -> float:
-        return self._demand_engine.surge_factor(pool_id, datacenter_id, window)
-
     def offered_demand(self, window: int) -> Dict[Tuple[str, str], float]:
         """Noise-free demand per (pool, datacenter) after failover.
 
@@ -260,8 +249,7 @@ class Simulator:
         demand redistributed proportionally over survivors of the same
         pool.  Literally the one-window slice of the columnar
         :meth:`~repro.workload.demand_engine.DemandEngine.compute_demand_block`,
-        so the per-window and blocked engines share one demand code path
-        and can never drift apart.
+        so the legacy and batch engines share one demand code path.
         """
         block = self._demand_engine.compute_demand_block(
             np.array([window], dtype=np.int64)
@@ -271,25 +259,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Server state
     # ------------------------------------------------------------------
-    def _online_mask(self, deployment: PoolDeployment, window: int) -> np.ndarray:
-        """Boolean online mask over a deployment's servers.
-
-        Online-ness matches the legacy per-server state machine: a
-        server serves traffic iff its datacenter is up, it has not
-        randomly crashed, and its availability policy keeps it online.
-        """
-        n = deployment.pool.size
-        if self._outage_active(deployment.datacenter_id, window):
-            return np.zeros(n, dtype=bool)
-        mask = np.ones(n, dtype=bool)
-        failures = self.config.random_failures
-        if failures is not None:
-            mask &= ~failures.failed_mask(n, window)
-        policy = self._policies.get((deployment.pool_id, deployment.datacenter_id))
-        if policy is not None:
-            mask &= policy_online_mask(policy, n, window)
-        return mask
-
     def _update_server_states(self, deployment: PoolDeployment, window: int) -> None:
         """Per-server state writes — the legacy engine's bookkeeping."""
         pool = deployment.pool
@@ -365,80 +334,19 @@ class Simulator:
         self._index_cache[key] = (server_ids, indices)
         return indices
 
-    def _step_deployment_vector(
-        self,
-        deployment: PoolDeployment,
-        window: int,
-        base_demand: float,
-        batch: bool,
-    ) -> None:
-        """Advance one deployment one window through the columnar path."""
-        pool = deployment.pool
-        pool_id = deployment.pool_id
-        dc_id = deployment.datacenter_id
-        mask = self._online_mask(deployment, window)
-        total = self._noisy(base_demand)
-        class_volumes = deployment.mix.split_volume(total, window, self._rng)
-        online = np.flatnonzero(mask)
-        arrays = pool.server_arrays()
-
-        observations: Dict[str, np.ndarray] = {}
-        if online.size:
-            m = int(online.size)
-            per_server_rps = {
-                name: volume / m for name, volume in class_volumes.items()
-            }
-            observations = observe_pool(
-                pool.profile, arrays, online, window, per_server_rps, self._rng,
-                self._emit_counters(deployment),
-            )
-            observations.pop(Counter.AVAILABILITY.value, None)
-
-        store = self.store
-        availability = Counter.AVAILABILITY.value
-        if batch:
-            indices = self._store_indices(deployment, arrays.server_ids)
-            if self._wanted_counter(availability):
-                store.record_batch(
-                    pool_id, dc_id, availability, window, indices, mask.astype(float)
-                )
-            if online.size:
-                online_indices = indices[online]
-                for counter, values in observations.items():
-                    if self._wanted_counter(counter):
-                        store.record_batch(
-                            pool_id, dc_id, counter, window, online_indices, values
-                        )
-        else:
-            record = store.record_fast
-            server_ids = arrays.server_ids
-            if self._wanted_counter(availability):
-                for index, value in enumerate(mask):
-                    record(
-                        window, server_ids[index], pool_id, dc_id,
-                        availability, float(value),
-                    )
-            for counter, values in observations.items():
-                if self._wanted_counter(counter):
-                    for position, value in zip(online, values):
-                        record(
-                            window, server_ids[position], pool_id, dc_id,
-                            counter, float(value),
-                        )
-
     # ------------------------------------------------------------------
     # Blocked (cross-window) stepping
     # ------------------------------------------------------------------
     def _online_mask_block(
         self, deployment: PoolDeployment, windows: np.ndarray
     ) -> np.ndarray:
-        """(n_windows, n_servers) online grid; rows == :meth:`_online_mask`.
+        """(n_windows, n_servers) online grid.
 
-        Fully vectorized: policy grid, random-failure grid (one cached
-        day-draw lookup per distinct day) and per-window outage rows.
-        Failures are applied before outage rows are zeroed, which
-        commutes with the per-window order (an outage row is all-False
-        either way).
+        A server serves traffic iff its datacenter is up, it has not
+        randomly crashed, and its availability policy keeps it online —
+        the legacy per-server state machine's rule, fully vectorized:
+        policy grid, random-failure grid (one cached day-draw lookup
+        per distinct day) and per-window outage rows.
         """
         n = deployment.pool.size
         policy = self._policies.get((deployment.pool_id, deployment.datacenter_id))
@@ -468,9 +376,9 @@ class Simulator:
         then the ``(n_windows, n_classes)`` share matrix from
         :meth:`~repro.workload.request_mix.RequestMix.shares_block` —
         one jitter draw for the whole block, consuming the RNG stream
-        in the same order as the former per-window ``split_volume``
-        loop — divided by the online counts into the per-server RPS
-        matrix :func:`~repro.cluster.server.observe_pool_block` takes.
+        in the same order as a per-window ``split_volume`` loop —
+        divided by the online counts into the per-server RPS matrix
+        :func:`~repro.cluster.server.observe_pool_block` takes.
         """
         pool = deployment.pool
         pool_id = deployment.pool_id
@@ -480,9 +388,8 @@ class Simulator:
         t_start = perf_counter()
 
         # Noisy demand per window.  Draws are skipped for windows with
-        # zero demand (or zero noise), matching the per-window engine's
-        # _noisy; with one active window per block the stream coincides
-        # with per-window stepping exactly.
+        # zero demand (or zero noise), matching the legacy engine's
+        # _noisy.
         noise = self.config.workload_noise
         totals = np.array(base_demand, dtype=float)
         if noise > 0:
@@ -498,12 +405,10 @@ class Simulator:
         t_demand = perf_counter()
 
         mask_block = self._online_mask_block(deployment, windows)
-        counts = mask_block.sum(axis=1)
-        per_server_rps = np.zeros_like(volumes)
-        np.divide(
-            volumes, counts[:, None], out=per_server_rps,
-            where=counts[:, None] > 0,
-        )
+        # Rows with no online server are never gathered, so dividing
+        # them by 1 instead of 0 changes no emitted value.
+        counts = np.maximum(mask_block.sum(axis=1), 1)
+        per_server_rps = volumes / counts[:, None]
 
         arrays = pool.server_arrays()
         flat_windows, flat_positions, observations = observe_pool_block(
@@ -542,6 +447,9 @@ class Simulator:
         windows = np.arange(
             self._window, self._window + n_windows, dtype=np.int64
         )
+        self._wanted_set = (
+            set(self.config.counters) if self.config.counters else frozenset()
+        )
         t_start = perf_counter()
         block = self._demand_engine.compute_demand_block(windows)
         self.stage_seconds["demand"] += perf_counter() - t_start
@@ -553,10 +461,13 @@ class Simulator:
             )
         self._window += n_windows
 
-    def _step_legacy(self, window: int, demand: Dict[Tuple[str, str], float]) -> None:
-        """The seed per-sample path: per-server observe, per-sample record."""
+    def _step_legacy(self) -> None:
+        """The seed path: per-server observe, one ingest per window."""
+        window = self._window
+        demand = self.offered_demand(window)
         wanted = set(self.config.counters) if self.config.counters else None
-        record = self.store.record_fast
+        record_classes = self.config.record_request_classes
+        samples: List[CounterSample] = []
         for deployment in self.fleet.deployments():
             self._update_server_states(deployment, window)
             total = self._noisy(
@@ -566,7 +477,6 @@ class Simulator:
             observations = deployment.pool.step(window, class_volumes, self._rng)
             pool_id = deployment.pool_id
             dc_id = deployment.datacenter_id
-            record_classes = self.config.record_request_classes
             for server_id, counters in observations.items():
                 for counter, value in counters.items():
                     if wanted is not None and counter not in wanted:
@@ -574,12 +484,16 @@ class Simulator:
                             record_classes and counter.startswith(_WORKLOAD_PREFIX)
                         ):
                             continue
-                    record(window, server_id, pool_id, dc_id, counter, value)
+                    samples.append(
+                        CounterSample(window, server_id, pool_id, dc_id, counter, value)
+                    )
+        self.store.record_many(samples)
+        self._window += 1
 
     def step(self) -> None:
-        """Simulate one telemetry window.
+        """Simulate one telemetry window (a block of one on ``batch``).
 
-        On the vector engines, per-server ``Server.state`` /
+        On the batch engine, per-server ``Server.state`` /
         ``working_set_mb`` are *not* maintained window to window (that
         per-server loop is exactly the cost the columnar path removes);
         :meth:`run` reconciles them on completion.  Callers driving
@@ -587,27 +501,13 @@ class Simulator:
         :meth:`sync_server_state` first — telemetry in the store is
         always correct either way.
         """
-        window = self._window
-        demand = self.offered_demand(window)
-        engine = self.config.engine
-        if engine == "legacy":
-            self._step_legacy(window, demand)
+        if self.config.engine == "legacy":
+            self._step_legacy()
         else:
-            self._wanted_set = (
-                set(self.config.counters) if self.config.counters else frozenset()
-            )
-            batch = engine == "batch"
-            for deployment in self.fleet.deployments():
-                self._step_deployment_vector(
-                    deployment,
-                    window,
-                    demand[(deployment.pool_id, deployment.datacenter_id)],
-                    batch,
-                )
-        self._window += 1
+            self._step_block(1)
 
     def sync_server_state(self) -> None:
-        """Write the vector engines' state back onto the Server objects.
+        """Write the batch engine's state back onto the Server objects.
 
         The columnar hot path tracks online-ness as masks and working
         sets as cached arrays, leaving ``Server.state`` /
@@ -627,16 +527,13 @@ class Simulator:
     def run(self, n_windows: int) -> None:
         """Simulate ``n_windows`` consecutive windows.
 
-        The main entry point of all three engines:
+        The main entry point of both engines:
 
-        * ``"batch"`` with ``block_windows == 1`` (the default) steps
-          per window; with ``block_windows > 1`` it advances in blocks
-          through the cross-window emission path (the last block is
-          truncated to the remaining windows).  A block size of one is
-          bit-identical to per-window stepping; larger blocks are
-          statistically equivalent.
-        * ``"per-sample"`` produces bit-identical telemetry to
-          ``"batch"`` (same emission and RNG draws, per-sample ingest).
+        * ``"batch"`` advances ``block_windows`` windows per step
+          through the block kernel (the last block is truncated to the
+          remaining windows).  Different block sizes keep identical
+          availability and sample counts and are statistically
+          equivalent on noisy counters.
         * ``"legacy"`` is the seed per-server loop: identical
           availability, statistically equivalent noisy counters.
 
@@ -659,19 +556,16 @@ class Simulator:
         """
         if n_windows < 0:
             raise ValueError("n_windows must be non-negative")
-        block = self.config.block_windows
-        if block > 1 and self.config.engine == "batch":
-            self._wanted_set = (
-                set(self.config.counters) if self.config.counters else frozenset()
-            )
-            remaining = n_windows
-            while remaining > 0:
-                step = min(block, remaining)
-                self._step_block(step)
-                remaining -= step
-        else:
+        if self.config.engine == "legacy":
             for _ in range(n_windows):
-                self.step()
+                self._step_legacy()
+            return
+        block = self.config.block_windows
+        remaining = n_windows
+        while remaining > 0:
+            step = min(block, remaining)
+            self._step_block(step)
+            remaining -= step
 
     def run_days(self, days: float) -> None:
         """Simulate a number of days (720 windows per day)."""

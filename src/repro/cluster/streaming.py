@@ -36,6 +36,7 @@ per-server state exactly like a finishing batch run.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -222,6 +223,11 @@ class StreamingSimulator:
                     self.sealed_window = sealed
                     self.windows = report.windows
                     self.blocks = report.blocks
+                # Yield between blocks: a reader blocked on the lock is
+                # woken by the release but still needs the GIL, and
+                # without a yield this thread re-takes the lock first,
+                # starving live queries for the whole run.
+                time.sleep(0)
         except KeyboardInterrupt:
             report.stopped_by = "interrupt"
         finally:

@@ -22,6 +22,20 @@ from repro.core.slo import QoSRequirement
 from repro.telemetry.store import MetricStore
 
 
+class PoolPlanningError(ValueError):
+    """Headroom planning failed for one pool; the message names it.
+
+    Raised by :meth:`CapacityPlanner.plan_pool` in place of the bare
+    ``ValueError`` the curve fits raise (e.g. a latency limit below the
+    forecast at every workload level), so callers can report which
+    pool could not be planned.
+    """
+
+    def __init__(self, pool_id: str, reason: str) -> None:
+        super().__init__(f"pool {pool_id}: {reason}")
+        self.pool_id = pool_id
+
+
 @dataclass(frozen=True)
 class PoolPlanSummary:
     """One Table IV row: everything the planner decided for a pool."""
@@ -142,9 +156,12 @@ class CapacityPlanner:
         headroom: Optional[HeadroomPlan] = None
         availability: Optional[AvailabilityReport] = None
         if validation.status.is_valid:
-            headroom = self.headroom_planner.plan_pool(
-                pool_id, self.qos_by_pool[pool_id]
-            )
+            try:
+                headroom = self.headroom_planner.plan_pool(
+                    pool_id, self.qos_by_pool[pool_id]
+                )
+            except ValueError as error:
+                raise PoolPlanningError(pool_id, str(error)) from error
         try:
             availability = analyze_pool_availability(self.store, pool_id)
         except ValueError:

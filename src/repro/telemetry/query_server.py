@@ -62,11 +62,9 @@ from repro.telemetry.workers import ShardConnectionError, ShardServer
 #: listed name may ever appear on the surface — so a new mutator cannot
 #: silently become reachable by live readers.
 STORE_MUTATORS = frozenset({
-    "record",
     "record_many",
     "record_batch",
     "record_columns",
-    "record_fast",
     "evict_windows",
     "seal_through",
     "track_aggregate",

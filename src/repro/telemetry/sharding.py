@@ -74,7 +74,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.telemetry.counters import CounterSample
 from repro.telemetry.series import TimeSeries
 from repro.telemetry.transport import (
     DEFAULT_CONNECT_TIMEOUT,
@@ -813,47 +812,6 @@ LiveQuerySurface` takes it around every read.
         windows = np.full(indices.size, window, dtype=np.int64)
         self.record_columns(
             pool_id, datacenter_id, counter, windows, indices, values
-        )
-
-    def record_fast(
-        self,
-        window: int,
-        server_id: str,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        value: float,
-    ) -> None:
-        """Append one sample (compatibility shim; routes to one shard).
-
-        On the remote backends the scalar rides the owner shard's
-        coalescing ingest buffer, so even sample-at-a-time callers pay
-        ~one message per ``flush_rows`` samples, not per sample.
-        """
-        self._ensure_open()
-        index = self._interner.intern(server_id)
-        shard_id = index % len(self._shards)
-        if self._journals is not None:
-            self._journals[shard_id].append(
-                "record_fast",
-                (window, server_id, pool_id, datacenter_id, counter, value),
-                1,
-            )
-        self._shards[shard_id].record_fast(
-            window, server_id, pool_id, datacenter_id, counter, value
-        )
-        if self._agg_cache:
-            self._agg_cache.clear()
-
-    def record(self, sample: CounterSample) -> None:
-        """Append one counter sample (compatibility shim)."""
-        self.record_fast(
-            sample.window_index,
-            sample.server_id,
-            sample.pool_id,
-            sample.datacenter_id,
-            sample.counter,
-            sample.value,
         )
 
     def record_many(self, samples) -> None:

@@ -5,13 +5,15 @@ answers pool/datacenter/time-scoped aggregate queries over 90 days of
 history.  This module provides the equivalent for the simulator, built
 around an end-to-end columnar data flow:
 
-* **Ingest** is batched: the simulator emits one NumPy array per
-  (pool, datacenter, counter, window) and hands it to
-  :meth:`MetricStore.record_batch`, which appends whole arrays to the
-  matching table.  Server ids are interned once into integer indices
-  (:meth:`MetricStore.intern_servers`), so the hot path never hashes
-  strings per sample.  ``record`` / ``record_many`` / ``record_fast``
-  remain as thin compatibility shims over the same tables.
+* **Ingest** is columnar: the simulator emits one NumPy array per
+  (pool, datacenter, counter, block of windows) and hands it to
+  :meth:`MetricStore.record_columns`, which appends whole arrays to
+  the matching table (:meth:`MetricStore.record_batch` is the
+  one-window convenience over it).  Server ids are interned once into
+  integer indices (:meth:`MetricStore.intern_servers`), so the hot
+  path never hashes strings per sample.  ``record_many`` columnises loose
+  :class:`~repro.telemetry.counters.CounterSample` objects onto the
+  same tables.
 * **Storage** is one table per (pool, datacenter, counter): three
   parallel column chunk lists (window, server index, value) that are
   concatenated lazily into frozen arrays on first query.
@@ -258,18 +260,14 @@ class MetricKey:
 class _Table:
     """Columnar (window, server index, value) rows of one table.
 
-    Appends go to chunk lists (one ndarray per batch, plus a scalar
-    spill buffer for the per-sample compatibility shims); queries read
-    the lazily concatenated frozen arrays.
+    Appends go to chunk lists (one ndarray per batch); queries read the
+    lazily concatenated frozen arrays.
     """
 
     __slots__ = (
         "_window_chunks",
         "_server_chunks",
         "_value_chunks",
-        "_scalar_windows",
-        "_scalar_servers",
-        "_scalar_values",
         "_frozen",
         "n_rows",
         "spilled_rows",
@@ -279,29 +277,10 @@ class _Table:
         self._window_chunks: List[np.ndarray] = []
         self._server_chunks: List[np.ndarray] = []
         self._value_chunks: List[np.ndarray] = []
-        self._scalar_windows: List[int] = []
-        self._scalar_servers: List[int] = []
-        self._scalar_values: List[float] = []
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self.n_rows: int = 0
         #: Rows evicted to the spill archive (still counted in n_rows).
         self.spilled_rows: int = 0
-
-    def _spill_scalars(self) -> None:
-        if self._scalar_windows:
-            self._window_chunks.append(np.asarray(self._scalar_windows, dtype=np.int64))
-            self._server_chunks.append(np.asarray(self._scalar_servers, dtype=np.int64))
-            self._value_chunks.append(np.asarray(self._scalar_values, dtype=float))
-            self._scalar_windows.clear()
-            self._scalar_servers.clear()
-            self._scalar_values.clear()
-
-    def append(self, window: int, server_index: int, value: float) -> None:
-        self._scalar_windows.append(window)
-        self._scalar_servers.append(server_index)
-        self._scalar_values.append(value)
-        self._frozen = None
-        self.n_rows += 1
 
     def append_batch(
         self,
@@ -309,7 +288,6 @@ class _Table:
         server_indices: np.ndarray,
         values: np.ndarray,
     ) -> None:
-        self._spill_scalars()
         self._window_chunks.append(windows)
         self._server_chunks.append(server_indices)
         self._value_chunks.append(values)
@@ -319,7 +297,6 @@ class _Table:
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(windows, server indices, values) in append order."""
         if self._frozen is None:
-            self._spill_scalars()
             if not self._value_chunks:
                 empty = np.array([], dtype=np.int64)
                 self._frozen = (empty, empty, np.array([], dtype=float))
@@ -435,10 +412,6 @@ class _ServerMembership:
         self._ensure(int(indices.max()))
         self._seen[indices] = True
 
-    def add(self, index: int) -> None:
-        self._ensure(index)
-        self._seen[index] = True
-
     def indices(self) -> np.ndarray:
         """All marked indices, ascending (``int64``)."""
         return np.flatnonzero(self._seen)
@@ -452,9 +425,9 @@ class MetricStore:
     :meth:`record_columns` (pre-columnised rows); query via
     :meth:`pool_window_aggregate`, :meth:`per_server_values`,
     :meth:`pool_matrix` and :meth:`server_series`.  All query results
-    are independent of ingest batching: the per-sample shims
-    (:meth:`record` / :meth:`record_fast`) and the batch path store
-    bit-identical tables given the same rows in the same order.
+    are independent of ingest batching: :meth:`record_many`,
+    :meth:`record_batch` and :meth:`record_columns` store bit-identical
+    tables given the same rows in the same order.
 
     ``interner`` optionally shares a :class:`ServerInterner` with other
     stores — the mechanism :class:`~repro.telemetry.sharding.\
@@ -600,46 +573,12 @@ LiveQuerySurface` takes it around every read, so a live reader only
         if self._agg_cache:
             self._agg_cache.clear()
 
-    def record(self, sample: CounterSample) -> None:
-        """Append one counter sample (compatibility shim)."""
-        self.record_fast(
-            sample.window_index,
-            sample.server_id,
-            sample.pool_id,
-            sample.datacenter_id,
-            sample.counter,
-            sample.value,
-        )
-
     def record_many(self, samples: Iterable[CounterSample]) -> None:
         """Append many samples, columnised per table (the batch path)."""
         for (pool_id, dc_id, counter), windows, indices, values in columnise_samples(
             samples, self.intern_server
         ):
             self.record_columns(pool_id, dc_id, counter, windows, indices, values)
-
-    def record_fast(
-        self,
-        window: int,
-        server_id: str,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        value: float,
-    ) -> None:
-        """Append one sample without constructing a CounterSample.
-
-        .. deprecated::
-            Per-sample ingestion survives for compatibility and tests;
-            new code should build arrays and call :meth:`record_batch`.
-        """
-        index = self.intern_server(server_id)
-        self._table(pool_id, datacenter_id, counter).append(window, index, value)
-        self._servers_by_pool_dc[(pool_id, datacenter_id)].add(index)
-        if window > self._max_window:
-            self._max_window = window
-        if self._agg_cache:
-            self._agg_cache.clear()
 
     # ------------------------------------------------------------------
     # Streaming: rolling retention and incremental aggregates

@@ -287,9 +287,9 @@ class TcpTransport:
 
         Uses the kind-1 binary frame when the session negotiated it and
         every command fits the fixed column layout; anything else (an
-        un-negotiated session, a ``record_fast`` compatibility command,
-        exotic dtypes) falls back to the kind-0 pickle frame, so the
-        fast path never restricts what the protocol can carry.
+        un-negotiated session, non-contiguous or exotic-dtype columns)
+        falls back to the kind-0 pickle frame, so the fast path never
+        restricts what the protocol can carry.
         """
         if self.binary_frames:
             buffers = _encode_binary_ingest(names, commands)
@@ -374,9 +374,11 @@ class TcpTransport:
 def _encode_binary_ingest(names, commands):
     """Encode an ingest message as kind-1 buffers, or ``None``.
 
-    ``None`` means "not encodable, use pickle": a non-``record_columns``
-    command, or columns that are not the fixed contiguous
-    ``(int64, int64, float64)`` layout.  On success returns the full
+    ``None`` means "not encodable, use pickle": columns that are not
+    the fixed contiguous ``(int64, int64, float64)`` layout.  Only
+    ``record_columns`` is ever ingested (the serve loop refuses any
+    other name), so a different name also falls back to the pickle
+    frame, where the peer refuses it by name.  On success returns the full
     buffer sequence — header first — ready for a vectored send; column
     arrays are passed through as memoryviews, so large arrays are never
     copied on the way out.

@@ -31,12 +31,14 @@ strictly FIFO; the wire encoding is the transport's business):
 
 ``("ingest", names, commands)``
     Fire-and-forget bulk append.  ``commands`` is a list of
-    ``(method, args)`` pairs — ``record_columns`` / ``record_fast``
-    calls whose ndarray arguments pickle as raw buffers — applied in
-    order by the serve loop.  Small parts coalesce: the proxy buffers
-    commands until ``flush_rows`` rows are pending (or a query/close
-    forces a flush), so one message amortises pickling and wakeup
-    cost across many appends.
+    ``(method, args)`` pairs — ``record_columns`` calls whose ndarray
+    arguments pickle as raw buffers — applied in order by the serve
+    loop.  Any other method name (:data:`INGEST_METHODS` is the
+    allowlist) refuses the whole frame with an
+    :class:`IngestCommandError`, deferred to the next ``call``.  Small
+    parts coalesce: the proxy buffers commands until ``flush_rows`` rows
+    are pending (or a query/close forces a flush), so one message
+    amortises pickling and wakeup cost across many appends.
 ``("call", names, method, args, kwargs)``
     Synchronous query RPC.  The serve loop resolves ``method`` on its
     store (plain attributes answer property reads, generators are
@@ -153,6 +155,17 @@ DEFAULT_PIPELINE_DEPTH = 4
 #: whole negotiation.
 SESSION_CAPABILITIES = {"binary_ingest": True, "resync": True}
 
+#: The only store method an ``("ingest", ...)`` frame may name.  Ingest
+#: is fire-and-forget, so a frame naming anything else (``evict_windows``,
+#: ``close``, ...) is refused whole and the refusal is the deferred
+#: error the session's next ``call`` raises.
+INGEST_METHODS = frozenset({"record_columns"})
+
+
+class IngestCommandError(ValueError):
+    """An ingest frame named a method outside :data:`INGEST_METHODS`."""
+
+
 #: How long ``close`` waits for a graceful child exit before escalating
 #: to ``terminate()`` (seconds).
 _JOIN_TIMEOUT = 5.0
@@ -186,8 +199,16 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
         if kind == "ingest":
             _replay_names(store.interner, message[1])
             try:
-                for method, args in message[2]:
-                    getattr(store, method)(*args)
+                commands = message[2]
+                for method, _args in commands:
+                    if method not in INGEST_METHODS:
+                        raise IngestCommandError(
+                            f"ingest frame names {method!r}; only "
+                            f"{', '.join(sorted(INGEST_METHODS))} may be "
+                            f"ingested (frame refused)"
+                        )
+                for _method, args in commands:
+                    store.record_columns(*args)
             except BaseException as error:  # noqa: BLE001 — re-raised on next call
                 deferred = error
         elif kind == "call":
@@ -373,8 +394,8 @@ class ShardClient(_ShardQuerySurface):
     """Parent-side proxy to one remote ``MetricStore``, any transport.
 
     Duck-types the slice of the :class:`MetricStore` surface the
-    sharded facade uses — buffered ``record_columns`` / ``record_fast``
-    ingest plus every query and introspection method — so
+    sharded facade uses — buffered ``record_columns`` ingest plus every
+    query and introspection method — so
     :class:`~repro.telemetry.sharding.ShardedMetricStore` can hold
     remote-shard handles where it would otherwise hold local stores.
     All answers are bit-identical to a local shard fed the same calls
@@ -716,31 +737,6 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
         if self._pending_rows >= self._flush_rows:
             self.flush()
 
-    def record_fast(
-        self,
-        window: int,
-        server_id: str,
-        pool_id: str,
-        datacenter_id: str,
-        counter: str,
-        value: float,
-    ) -> None:
-        """Buffer one scalar append (compatibility shim, same batching).
-
-        Rides the same coalescing ingest channel as
-        :meth:`record_columns`; the serve loop executes a real
-        ``record_fast``, so scalar-spill table layout matches a local
-        shard exactly.
-        """
-        if self._closed:
-            raise RuntimeError("ShardClient is closed")
-        self._pending.append(
-            ("record_fast", (window, server_id, pool_id, datacenter_id, counter, value))
-        )
-        self._pending_rows += 1
-        if self._pending_rows >= self._flush_rows:
-            self.flush()
-
 
 class ShardWorker(ShardClient):
     """Proxy to one ``MetricStore`` in a child process (pipe transport).
@@ -886,12 +882,11 @@ class ReplicatedShardClient(_ShardQuerySurface):
     Holds a :class:`TcpShardClient` per address — the first is the
     primary, the rest replicas — and duck-types the single-session
     surface, so the facade treats a replicated shard exactly like a
-    plain one.  Every ingest call (``record_columns`` /
-    ``record_fast`` / ``flush``) fans out to every live member: each
-    member buffers the identical command stream with the same
-    ``flush_rows`` threshold, so the coalesced frames on every wire —
-    and therefore every member's store — are identical.  Queries are
-    answered by the first live member.
+    plain one.  Every ingest call (``record_columns`` / ``flush``) fans
+    out to every live member: each member buffers the identical command
+    stream with the same ``flush_rows`` threshold, so the coalesced
+    frames on every wire — and therefore every member's store — are
+    identical.  Queries are answered by the first live member.
 
     When any operation on a member raises
     :class:`ShardConnectionError` (dead peer, reset, I/O timeout — the
@@ -1051,9 +1046,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
 
     def record_columns(self, *args: Any) -> None:
         self._fan_out("record_columns", args)
-
-    def record_fast(self, *args: Any) -> None:
-        self._fan_out("record_fast", args)
 
     def flush(self) -> None:
         self._fan_out("flush", ())

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster.simulation import ENGINES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,7 +49,7 @@ class TestSimulateParsing:
         with pytest.raises(SystemExit):
             self.parser.parse_args(["simulate", "--shard-backend", "rayon"])
 
-    @pytest.mark.parametrize("engine", ["batch", "per-sample", "legacy"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_choices(self, engine):
         args = self.parser.parse_args(["simulate", "--engine", engine])
         assert args.engine == engine
@@ -83,6 +84,24 @@ class TestSimulateParsing:
         with pytest.raises(SystemExit) as excinfo:
             self.parser.parse_args(["simulate", flag, value])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--windows", "-5", "must be >= 0"),
+            ("--days", "-1", "must be finite and >= 0"),
+            ("--servers", "1", "must be >= 2"),
+        ],
+    )
+    def test_fleet_size_values_rejected_cleanly(self, flag, value, message, capsys):
+        """Negative horizons and one-server pools are usage errors
+        (exit 2 naming the flag), not tracebacks from the simulator."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert "Traceback" not in err
 
     def test_shard_addrs_flag(self):
         args = self.parser.parse_args(
@@ -147,7 +166,6 @@ class TestSimulateExecution:
         "extra",
         [
             [],
-            ["--engine", "per-sample"],
             ["--engine", "legacy"],
             ["--shards", "2"],
             ["--shards", "2", "--workers", "2"],
@@ -302,6 +320,21 @@ class TestSimulateExecution:
             assert server.wait(timeout=30) == 0
         finally:
             shard_server_processes.reap(server)
+
+
+class TestPlanErrors:
+    def test_unreachable_slo_names_the_pool_and_exits_2(self, tmp_path, capsys):
+        """An SLO below every forecast latency is a named error."""
+        archive = tmp_path / "small.csv.gz"
+        assert main([
+            "simulate", str(archive), "--windows", "36", "--servers", "2",
+            "--datacenters", "2", "--pools", "B", "--seed", "3",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["plan", str(archive), "--slo-ms", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pool B: latency limit 0.5 ms")
+        assert "Traceback" not in err
 
 
 class TestQueryCliValidation:

@@ -18,7 +18,7 @@ pin the equivalences that rewrite rests on:
   equal to ``Simulator.offered_demand``;
 * event caches invalidate when outages/surges are added mid-run;
 * a full simulation with surges, outages and a drifting mix is
-  bit-identical between per-window stepping and ``block_windows=1``.
+  bit-identical between the default block and ``block_windows=1``.
 """
 
 import dataclasses
@@ -504,11 +504,6 @@ class TestFullSimulationWithEvents:
         _assert_stores_identical(
             _run_with_events("batch"),
             _run_with_events("batch", block_windows=1),
-        )
-
-    def test_per_sample_shim_bit_identical_under_events(self):
-        _assert_stores_identical(
-            _run_with_events("batch"), _run_with_events("per-sample")
         )
 
     def test_blocked_availability_identical_under_events(self):

@@ -220,7 +220,7 @@ class TestShardJournal:
     def test_replay_preserves_order_across_spills(self):
         journal = ShardJournal(memory_rows=3)
         for i in range(10):
-            journal.append("record_fast", (i,), 1)
+            journal.append("record_columns", (i,), 1)
         assert journal.spilled_batches > 0
         replayed = [args[0] for _method, args in journal.replay()]
         assert replayed == list(range(10))
@@ -232,7 +232,7 @@ class TestShardJournal:
     def test_memory_stays_bounded(self):
         journal = ShardJournal(memory_rows=5)
         for i in range(100):
-            journal.append("record_fast", (i,), 1)
+            journal.append("record_columns", (i,), 1)
         assert len(journal._commands) < 5
         journal.close()
 

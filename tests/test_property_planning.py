@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.baselines.autoscaler import ReactiveAutoscaler
 from repro.baselines.queuing import MMcPlanner
 from repro.baselines.static_peak import StaticPeakPlanner
+from repro.telemetry.counters import CounterSample
 from repro.telemetry.export import export_store, import_store
 from repro.telemetry.store import MetricStore
 
@@ -109,8 +110,7 @@ class TestStoreProperties:
     @settings(max_examples=40, deadline=None)
     def test_sum_aggregate_matches_manual(self, rows):
         store = MetricStore()
-        for window, server, pool, dc, counter, value in rows:
-            store.record_fast(window, server, pool, dc, counter, value)
+        store.record_many(CounterSample(*row) for row in rows)
         series = store.pool_window_aggregate("P", "cpu", reducer="sum")
         expected = {}
         for window, server, pool, dc, counter, value in rows:
@@ -129,8 +129,7 @@ class TestStoreProperties:
     )
     def test_export_import_round_trip(self, rows, tmp_path):
         store = MetricStore()
-        for window, server, pool, dc, counter, value in rows:
-            store.record_fast(window, server, pool, dc, counter, value)
+        store.record_many(CounterSample(*row) for row in rows)
         path = tmp_path / "roundtrip.csv"
         export_store(store, path)
         loaded = import_store(path)

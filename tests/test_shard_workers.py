@@ -201,12 +201,11 @@ class TestIngestProtocol:
             _windows, names, _matrix = store.pool_matrix("P", "cpu")
             assert "late1" in names
 
-    def test_record_fast_and_record_many_ride_the_buffer(self):
+    def test_record_batch_and_record_many_ride_the_buffer(self):
         from repro.telemetry.counters import CounterSample
 
         with ShardedMetricStore(n_shards=2, backend="processes") as store:
-            store.record_fast(0, "a", "P", "dc", "cpu", 1.0)
-            store.record_fast(0, "b", "P", "dc", "cpu", 2.0)
+            store.record_batch("P", "dc", "cpu", 0, ["a", "b"], np.array([1.0, 2.0]))
             store.record_many(
                 [
                     CounterSample(

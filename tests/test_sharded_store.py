@@ -180,10 +180,9 @@ class TestQueryEquivalence:
 
 class TestIngestPaths:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_record_fast_routes_to_owner_shard(self, backend, shard_server):
+    def test_record_batch_routes_to_owner_shard(self, backend, shard_server):
         with _sharded(n_shards=2, backend=backend, server=shard_server) as store:
-            store.record_fast(0, "s0", "P", "dc", "cpu", 1.0)
-            store.record_fast(0, "s1", "P", "dc", "cpu", 2.0)
+            store.record_batch("P", "dc", "cpu", 0, ["s0", "s1"], np.array([1.0, 2.0]))
             idx0 = store.interner.index["s0"]
             idx1 = store.interner.index["s1"]
             assert store.shards[store.shard_of(idx0)].sample_count() == 1
@@ -214,7 +213,7 @@ class TestIngestPaths:
             b = sharded.pool_window_aggregate("P", "cpu")
             np.testing.assert_array_equal(a.windows, b.windows)
             np.testing.assert_array_equal(a.values, b.values)
-            sharded.record(samples[0])
+            sharded.record_many(samples[:1])
             assert sharded.sample_count() == single.sample_count() + 1
 
     def test_record_batch_validation(self):
@@ -285,7 +284,7 @@ class TestCloseRace:
         with pytest.raises(RuntimeError, match="closed"):
             store.record_batch("P", "dc", "cpu", 1, ids, np.ones(2))
         with pytest.raises(RuntimeError, match="closed"):
-            store.record_fast(1, "a", "P", "dc", "cpu", 1.0)
+            store.record_many([CounterSample(1, "a", "P", "dc", "cpu", 1.0)])
 
     def test_close_concurrent_with_ingest_threads_backend(self):
         """Hammer ingest from one thread while close() lands on another.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.telemetry.counters import Counter
+from repro.telemetry.counters import Counter, CounterSample
 from repro.telemetry.export import export_store, import_store, iter_rows
 from repro.telemetry.store import MetricStore
 
@@ -12,10 +12,15 @@ from repro.telemetry.store import MetricStore
 @pytest.fixture()
 def small_store():
     store = MetricStore()
-    for w in range(5):
-        store.record_fast(w, "s0", "B", "DC1", "cpu", float(w) * 1.5)
-        store.record_fast(w, "s1", "B", "DC1", "cpu", float(w))
-        store.record_fast(w, "s0", "B", "DC1", "lat", 30.0 + w)
+    store.record_many(
+        sample
+        for w in range(5)
+        for sample in (
+            CounterSample(w, "s0", "B", "DC1", "cpu", float(w) * 1.5),
+            CounterSample(w, "s1", "B", "DC1", "cpu", float(w)),
+            CounterSample(w, "s0", "B", "DC1", "lat", 30.0 + w),
+        )
+    )
     return store
 
 
@@ -48,7 +53,7 @@ class TestRoundTrip:
     def test_values_exact(self, small_store, tmp_path):
         # repr() round-trips floats exactly.
         path = tmp_path / "exact.csv"
-        small_store.record_fast(9, "s0", "B", "DC1", "cpu", 0.1 + 0.2)
+        small_store.record_batch("B", "DC1", "cpu", 9, ["s0"], np.array([0.1 + 0.2]))
         export_store(small_store, path)
         loaded = import_store(path)
         series = loaded.server_series("B", "cpu", "s0")

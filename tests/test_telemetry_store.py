@@ -22,10 +22,12 @@ def _sample(window, server="s0", pool="P", dc="DC1", counter="cpu", value=1.0):
 def store():
     s = MetricStore()
     for w in range(10):
-        s.record(_sample(w, server="s0", value=float(w)))
-        s.record(_sample(w, server="s1", value=float(w) * 2))
-        s.record(_sample(w, server="s0", counter="lat", value=10.0 + w))
-    s.record(_sample(0, server="s2", pool="Q", dc="DC2", value=5.0))
+        s.record_many([
+            _sample(w, server="s0", value=float(w)),
+            _sample(w, server="s1", value=float(w) * 2),
+            _sample(w, server="s0", counter="lat", value=10.0 + w),
+        ])
+    s.record_many([_sample(0, server="s2", pool="Q", dc="DC2", value=5.0)])
     return s
 
 
@@ -66,10 +68,13 @@ class TestIngest:
         assert s.max_window == -1
         assert s.sample_count() == 0
 
-    def test_record_fast_equivalent(self):
+    def test_record_many_equivalent_to_record_columns(self):
         a, b = MetricStore(), MetricStore()
-        a.record(_sample(1, value=3.0))
-        b.record_fast(1, "s0", "P", "DC1", "cpu", 3.0)
+        a.record_many([_sample(1, value=3.0)])
+        b.record_columns(
+            "P", "DC1", "cpu",
+            np.array([1]), b.intern_servers(["s0"]), np.array([3.0]),
+        )
         sa = a.server_series("P", "cpu", "s0")
         sb = b.server_series("P", "cpu", "s0")
         np.testing.assert_array_equal(sa.values, sb.values)
@@ -77,11 +82,11 @@ class TestIngest:
 
 
 class TestBatchIngest:
-    def test_record_batch_equivalent_to_record(self):
+    def test_record_batch_equivalent_to_record_many(self):
         a, b = MetricStore(), MetricStore()
         for w in range(3):
             for i, server in enumerate(["s0", "s1", "s2"]):
-                a.record(_sample(w, server=server, value=float(w * 10 + i)))
+                a.record_many([_sample(w, server=server, value=float(w * 10 + i))])
         for w in range(3):
             b.record_batch(
                 "P", "DC1", "cpu", w,

@@ -26,10 +26,11 @@ from repro.telemetry.store import MetricStore, ServerInterner
 from repro.telemetry.transport import (
     MAX_FRAME_BYTES,
     TcpTransport,
+    _encode_binary_ingest,
     format_address,
     parse_address,
 )
-from repro.telemetry.workers import ShardServer, TcpShardClient
+from repro.telemetry.workers import IngestCommandError, ShardServer, TcpShardClient
 
 
 def _loopback_pair():
@@ -186,6 +187,29 @@ class TestShardServer:
             assert b.sample_count() == 0  # b's store never saw the row
             a.close()
             b.close()
+
+    def test_ingest_frame_naming_a_non_ingest_method_is_refused(self):
+        """A peer cannot make ingest run ``evict_windows``: the whole
+        frame is refused, the store is unchanged, and the next call
+        raises the named error."""
+        interner = ServerInterner()
+        idx = np.array([interner.intern("s0")], dtype=np.int64)
+        columns = ("P", "dc", "cpu", np.array([0]), idx, np.ones(1))
+        with ShardServer() as server:
+            client = TcpShardClient(0, interner, server.address)
+            try:
+                client.record_columns(*columns)
+                assert client.sample_count() == 1
+                client._transport.send((
+                    "ingest", [],
+                    [("record_columns", columns), ("evict_windows", (10**9,))],
+                ))
+                with pytest.raises(IngestCommandError, match="evict_windows"):
+                    client.sample_count()
+                assert client.sample_count() == 1
+                assert client.call("evicted_before") == 0
+            finally:
+                client.close()
 
     def test_client_eof_does_not_kill_server(self):
         """A vanishing client ends its session, never the server."""
@@ -441,29 +465,29 @@ class TestBinaryFrames:
             client.close()
             server.close()
 
-    def test_record_fast_commands_fall_back_to_pickle(self):
-        """A compatibility command in the batch degrades the whole
-        frame to pickle — never a partial/mixed encoding."""
+    @pytest.mark.parametrize(
+        "windows",
+        [np.arange(8, dtype=np.int64)[::2], np.arange(4, dtype=np.int32)],
+        ids=["non-contiguous", "int32"],
+    )
+    def test_odd_columns_fall_back_to_pickle(self, windows):
+        """One column outside the fixed contiguous int64 layout degrades
+        the whole frame to pickle — never a partial/mixed encoding."""
         client, server = _loopback_pair()
         try:
             client.binary_frames = True
-            commands = [
-                ("record_fast", (3, "s0", "P", "dc", "cpu", 1.5)),
-                (
-                    "record_columns",
-                    (
-                        "P", "dc", "cpu",
-                        np.arange(2, dtype=np.int64),
-                        np.zeros(2, dtype=np.int64),
-                        np.ones(2),
-                    ),
-                ),
-            ]
-            client.send_ingest(["s0"], commands)
-            kind, names, got = server.recv()
-            assert kind == "ingest"
-            assert got[0] == ("record_fast", (3, "s0", "P", "dc", "cpu", 1.5))
-            np.testing.assert_array_equal(got[1][1][3], np.arange(2))
+            names, commands = self._ingest_message(n_rows=8)
+            commands.append((
+                "record_columns",
+                ("P", "dc", "cpu", windows, np.zeros(4, dtype=np.int64), np.ones(4)),
+            ))
+            assert _encode_binary_ingest(names, commands) is None
+            client.send_ingest(names, commands)
+            kind, got_names, got = server.recv()
+            assert kind == "ingest" and got_names == names
+            assert got[-1][1][3].dtype == windows.dtype
+            np.testing.assert_array_equal(got[-1][1][3], windows)
+            np.testing.assert_array_equal(got[0][1][3], commands[0][1][3])
         finally:
             client.close()
             server.close()

@@ -45,7 +45,7 @@ def check(path: Path) -> List[str]:
     configs = data.get("configs", [])
     engine_rows = [
         row
-        for row in (data.get("batch"), data.get("legacy"), data.get("per_sample"))
+        for row in (data.get("batch"), data.get("legacy"))
         if row
     ] + configs
 
