@@ -17,7 +17,7 @@ test: run-checks
 	$(PYTHON) -m pytest -x -q
 
 # The streaming suite on its own: streaming-vs-batch bit-identity
-# across all four shard backends (including post-eviction reads and
+# across every shard backend (including post-eviction reads and
 # exports), the hot-memory bound, and the online regression alarm
 # (all of it also rides in `make test`).
 test-stream:
@@ -30,7 +30,7 @@ test-faults:
 	$(PYTHON) -m pytest tests/test_fault_tolerance.py -q
 
 # The live-query-server suite on its own: bit-identity at every block
-# boundary on all four backends, the concurrent hammer, and the
+# boundary on every backend, the concurrent hammer, and the
 # kill-mid-query bound (all of it also rides in `make test`).
 test-server:
 	$(PYTHON) -m pytest tests/test_query_server.py -q
@@ -46,7 +46,7 @@ check-paper:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_sim_throughput.py --smoke
 
-# Small serial/threads/processes/tcp shard-backend comparison (no JSON).
+# Small serial/processes/tcp shard-backend comparison (no JSON).
 bench-backends:
 	$(PYTHON) benchmarks/bench_sim_throughput.py --backends
 
@@ -77,8 +77,8 @@ hygiene-check:
 # AST-based invariant checks over src/repro: determinism (no hidden
 # entropy or wall-clock reads), lock discipline (single-owner seam),
 # rpc-surface (string dispatch resolves; query surface stays
-# read-only), wire-capabilities (advertised == probed).  See
-# docs/LINTING.md; `--json` gives machine-readable findings.
+# read-only).  See docs/LINTING.md; `--json` gives machine-readable
+# findings.
 lint:
 	$(PYTHON) tools/repro_lint
 

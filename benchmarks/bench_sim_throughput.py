@@ -9,12 +9,12 @@ servers x 1000 windows) for:
   enforces this from ``make test``);
 * the ``batch`` engine at block 1 (the block kernel stepping window by
   window) — the baseline every later configuration is judged against;
-* a sweep of (shards, workers, block_windows, backend) configurations
+* a sweep of (shards, block_windows, backend) configurations
   combining the sharded store (:class:`~repro.telemetry.sharding.\
 ShardedMetricStore`) with cross-window block emission
-  (``SimulationConfig.block_windows``) across all four shard backends.
-  The remote backends pay one pickle crossing per row, so on a single
-  CPU they document the distribution seam's cost, not a speedup; the
+  (``SimulationConfig.block_windows``) across every shard backend.
+  The remote backends pay one wire crossing per row, so on a small
+  machine they document the distribution seam's cost, not a speedup; the
   ``tcp`` rows run against a real ``repro shard-server`` subprocess on
   loopback, so they additionally price the length-prefixed socket
   framing vs the processes backend's pipe;
@@ -36,7 +36,7 @@ land in ``BENCH_sim_throughput.json`` for the perf trajectory.
 Run as a pytest benchmark (``pytest benchmarks/bench_sim_throughput.py``)
 or directly (``PYTHONPATH=src python benchmarks/bench_sim_throughput.py``;
 pass ``--smoke`` for a fast, JSON-less sanity run, ``--backends`` for a
-small serial/threads/processes/tcp comparison — the ``make
+small serial/processes/tcp comparison — the ``make
 bench-backends`` target — or ``--tcp`` for the loopback-TCP-focused
 sweep behind ``make bench-tcp``).
 """
@@ -59,7 +59,7 @@ from typing import Optional
 
 from repro.cluster.builders import build_single_pool_fleet
 from repro.cluster.simulation import SimulationConfig, Simulator
-from repro.telemetry.sharding import ShardedMetricStore
+from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 from repro.telemetry.workers import DEFAULT_PIPELINE_DEPTH
 
 #: Headline configuration (the ISSUE's 1000-server x 1000-window run).
@@ -71,37 +71,29 @@ LEGACY_WINDOWS = 60
 
 #: Required speedup of the columnar engine over the seed path.
 TARGET_SPEEDUP = 5.0
-#: Required speedup of the best (shards, workers, block) configuration
-#: over the batch engine at block 1.
+#: Required speedup of the best (shards, block) configuration over the
+#: batch engine at block 1.
 TARGET_BLOCK_SPEEDUP = 1.5
 
-#: The (shards, workers, block_windows, backend) sweep.  Single-shard +
-#: blocks is the expected winner on small machines; the sharded
-#: variants document the fan-out cost of each backend at the same
-#: (4-shard, block=64) point: serial = partitioning pass only, threads
-#: = GIL-bound pool dispatch, processes = one pickle crossing per row,
-#: tcp = the same crossing through a loopback socket to a real
-#: shard-server subprocess (the price of the distribution seam, paid
-#: off only with real cores or machines behind it).  The tcp point
-#: appears twice: once restricted to the PR 4 wire behaviour (pickle
-#: frames, synchronous per-shard sendall) and once with the current
-#: default (negotiated binary column frames + pipelined writers), so
-#: the JSON records the transport optimisation's before/after.
+#: The (shards, block_windows, backend) sweep.  Single-shard + blocks
+#: is the expected winner on small machines; the sharded variants
+#: document the fan-out cost of each backend at the same (4-shard,
+#: block=64) point: serial = partitioning pass only, processes = one
+#: pickle crossing per row, tcp = a binary column frame per coalesced
+#: batch through a loopback socket to a real shard-server subprocess
+#: (the price of the distribution seam, paid off only with real cores
+#: or machines behind it).
 CONFIGS = (
-    {"shards": 1, "workers": 1, "block_windows": 16},
-    {"shards": 1, "workers": 1, "block_windows": 64},
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "serial"},
-    {"shards": 4, "workers": 4, "block_windows": 64, "backend": "threads"},
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "processes"},
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "tcp",
-     "pipeline_depth": 0, "binary_frames": False},  # the PR 4 wire
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "tcp"},
+    {"shards": 1, "block_windows": 16},
+    {"shards": 1, "block_windows": 64},
+    {"shards": 4, "block_windows": 64, "backend": "serial"},
+    {"shards": 4, "block_windows": 64, "backend": "processes"},
+    {"shards": 4, "block_windows": 64, "backend": "tcp"},
     # Replicated tcp: every ingest frame is mirrored to a replica
     # session on a second shard-server subprocess — the steady-state
     # price of surviving a primary's death (tools/bench_check.py
     # requires this row).
-    {"shards": 4, "workers": 1, "block_windows": 64, "backend": "tcp",
-     "replicas": 1},
+    {"shards": 4, "block_windows": 64, "backend": "tcp", "replicas": 1},
 )
 
 #: The small backend comparison behind ``make bench-backends``
@@ -168,12 +160,10 @@ def _measure(
     n_windows: int,
     servers: int = SERVERS,
     shards: int = 1,
-    workers: int = 1,
     block_windows: int = 1,
     backend: Optional[str] = None,
     shard_addrs: Optional[list] = None,
     pipeline_depth: Optional[int] = None,
-    binary_frames: bool = True,
     replicas: int = 0,
     replica_addrs: Optional[list] = None,
 ) -> dict:
@@ -184,12 +174,10 @@ def _measure(
         with _loopback_shard_server(max_sessions=shards) as address:
             kwargs = dict(
                 shards=shards,
-                workers=workers,
                 block_windows=block_windows,
                 backend=backend,
                 shard_addrs=[address] * shards,
                 pipeline_depth=pipeline_depth,
-                binary_frames=binary_frames,
                 replicas=replicas,
             )
             if replicas:
@@ -215,10 +203,8 @@ def _measure(
     store = (
         ShardedMetricStore(
             n_shards=shards,
-            workers=workers,
-            backend=backend,
+            backend=backend or "serial",
             shard_addrs=shard_addrs,
-            binary_frames=binary_frames,
             **store_kwargs,
         )
         if shards > 1 or backend is not None
@@ -245,18 +231,12 @@ def _measure(
         "servers": servers,
         "windows": n_windows,
         "shards": shards,
-        "workers": workers,
         "block_windows": block_windows,
         "backend": store.backend if store is not None else "none",
         "pipeline_depth": (
             (pipeline_depth if pipeline_depth is not None
              else DEFAULT_PIPELINE_DEPTH)
             if remote else 0
-        ),
-        "wire": (
-            ("binary" if binary_frames else "pickle")
-            if store is not None and store.backend == "tcp"
-            else "n/a"
         ),
         # Replica sessions mirrored per shard (tcp only); the
         # replicated-tcp row prices the fan-out's ingest cost.
@@ -499,30 +479,22 @@ def run_backend_sweep(
     shards: int = 4,
     block_windows: int = 64,
 ) -> list:
-    """Small serial/threads/processes/tcp comparison at one sweep point.
+    """Small comparison of every backend at one sweep point.
 
     The fast local answer to "which backend should I use here?" —
     prints one line per backend, writes no JSON.
     """
-    results = []
-    for backend, workers in (
-        ("serial", 1),
-        ("threads", 4),
-        ("processes", 1),
-        ("tcp", 1),
-    ):
-        results.append(
-            _measure(
-                "batch",
-                windows,
-                servers,
-                shards=shards,
-                workers=workers,
-                block_windows=block_windows,
-                backend=backend,
-            )
+    return [
+        _measure(
+            "batch",
+            windows,
+            servers,
+            shards=shards,
+            block_windows=block_windows,
+            backend=backend,
         )
-    return results
+        for backend in BACKENDS
+    ]
 
 
 def run_tcp_sweep(
@@ -533,45 +505,35 @@ def run_tcp_sweep(
     """Loopback-TCP shard sweep: distribution cost vs shard count.
 
     One ``repro shard-server`` subprocess hosts every session; rows
-    compare the unsharded baseline, the serial reference, and tcp at
-    increasing shard counts — each shard count measured twice, once
-    over the PR 4 wire (pickle frames, synchronous sends) and once
-    with the current default (binary column frames + pipelined
-    writers) — the `make bench-tcp` answer to "what does putting
-    shards behind the network cost on this machine, and what does the
-    transport optimisation buy back?".
+    compare the serial reference with tcp at increasing shard counts —
+    the `make bench-tcp` answer to "what does putting shards behind
+    the network cost on this machine?".
     """
     results = [
         _measure("batch", windows, servers, block_windows=block_windows,
                  backend="serial", shards=4),
     ]
     for shards in (1, 2, 4):
-        for pipeline_depth, binary_frames in ((0, False), (None, True)):
-            results.append(
-                _measure(
-                    "batch",
-                    windows,
-                    servers,
-                    shards=shards,
-                    block_windows=block_windows,
-                    backend="tcp",
-                    pipeline_depth=pipeline_depth,
-                    binary_frames=binary_frames,
-                )
+        results.append(
+            _measure(
+                "batch",
+                windows,
+                servers,
+                shards=shards,
+                block_windows=block_windows,
+                backend="tcp",
             )
+        )
     return results
 
 
 def _config_label(entry: dict) -> str:
     label = (
-        f"shards={entry['shards']} workers={entry['workers']} "
+        f"shards={entry['shards']} "
         f"block={entry['block_windows']} backend={entry['backend']}"
     )
     if entry.get("backend") == "tcp":
-        label += (
-            f" wire={entry.get('wire', 'pickle')}"
-            f" pipeline={entry.get('pipeline_depth', 0)}"
-        )
+        label += f" pipeline={entry.get('pipeline_depth', 0)}"
         if entry.get("replicas"):
             label += f" replicas={entry['replicas']}"
     return label
@@ -625,7 +587,7 @@ def _print_result(result: dict) -> None:
         )
         print(f"best config stages: {breakdown}")
     print(
-        f"best config: shards={best['shards']} workers={best['workers']} "
+        f"best config: shards={best['shards']} "
         f"block={best['block_windows']} backend={best['backend']} -> "
         f"{result['best_speedup_vs_batch']:.2f}x batch, "
         f"batch {result['speedup_windows_per_sec']:.1f}x legacy"
@@ -684,13 +646,8 @@ if __name__ == "__main__":
             f"subprocess hosting every session"
         )
         for entry in sweep:
-            wire = (
-                f" wire={entry['wire']:6s} pipeline={entry['pipeline_depth']}"
-                if entry["backend"] == "tcp"
-                else ""
-            )
             print(
-                f"  {entry['backend']:10s} shards={entry['shards']}{wire} "
+                f"  {entry['backend']:10s} shards={entry['shards']} "
                 f"{entry['windows_per_sec']:8.1f} windows/s "
                 f"({entry['samples_per_sec']:,.0f} samples/s)"
             )

@@ -27,14 +27,14 @@ from repro.cluster.service import service_catalog
 from repro.cluster.simulation import (
     DEFAULT_COUNTERS, ENGINES, SimulationConfig, Simulator,
 )
-from repro.telemetry.sharding import ShardedMetricStore
+from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 from repro.telemetry.store import MetricStore
 from repro.telemetry.workers import ShardServer
 from repro.core.availability import study_fleet_availability
 from repro.core.metric_validation import MetricValidator
 from repro.core.planner import CapacityPlanner, PoolPlanningError
 from repro.core.slo import QoSRequirement
-from repro.telemetry.export import export_store, import_store
+from repro.telemetry.export import ArchiveError, export_store, import_store
 
 
 def _positive_int(text: str) -> int:
@@ -226,8 +226,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.shards > 1 or args.shard_backend is not None:
             store = ShardedMetricStore(
                 n_shards=args.shards,
-                workers=args.workers,
-                backend=args.shard_backend,
+                backend=args.shard_backend or "serial",
                 shard_addrs=shard_addrs,
                 connect_timeout=args.connect_timeout,
                 pipeline_depth=args.pipeline_depth,
@@ -235,8 +234,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 replica_addrs=replica_addrs,
             )
             store_desc = (
-                f"{store.n_shards}-shard store "
-                f"(backend={store.backend!r}, {store.workers} worker(s))"
+                f"{store.n_shards}-shard store (backend={store.backend!r})"
             )
             if shard_addrs is not None:
                 store_desc += f" at {','.join(shard_addrs)}"
@@ -457,8 +455,20 @@ def _qos_for_pools(store) -> dict:
     return qos
 
 
+def _load_archive(path: str):
+    """``import_store`` for the analysis commands; ``None`` after
+    printing the error when the archive cannot be read."""
+    try:
+        return import_store(path)
+    except (ArchiveError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
-    store = import_store(args.archive)
+    store = _load_archive(args.archive)
+    if store is None:
+        return 2
     qos = _qos_for_pools(store)
     if args.slo_ms is not None:
         qos = {pool: QoSRequirement(latency_p95_ms=args.slo_ms) for pool in store.pools}
@@ -482,7 +492,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    store = import_store(args.archive)
+    store = _load_archive(args.archive)
+    if store is None:
+        return 2
     validator = MetricValidator(store, min_r2=args.min_r2)
     failures = 0
     for report in validator.validate_all():
@@ -493,7 +505,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_availability(args: argparse.Namespace) -> int:
-    store = import_store(args.archive)
+    store = _load_archive(args.archive)
+    if store is None:
+        return 2
     study = study_fleet_availability(store)
     print(f"fleet mean availability: {study.overall_mean:.1%}")
     print(f"infrastructure overhead: {study.infrastructure_overhead:.1%}")
@@ -541,20 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(1 = single store; sharded telemetry is bit-identical)",
     )
     simulate.add_argument(
-        "--workers", type=_positive_int, default=1, metavar="N",
-        help="ingest fan-out width for the 'threads' shard backend "
-             "(>1 dispatches shard appends through a thread pool; "
-             "no-op with a single shard)",
-    )
-    simulate.add_argument(
-        "--shard-backend", default=None,
-        choices=("serial", "threads", "processes", "tcp"),
-        help="where shards live: 'serial' (in-process, caller thread), "
-             "'threads' (in-process, thread-pool fan-out), 'processes' "
-             "(one worker process per shard, pickled-ndarray ingest + "
-             "query RPC), or 'tcp' (one shard-server session per address "
-             "in --shard-addrs — same protocol over the network); "
-             "default infers serial/threads from --workers",
+        "--shard-backend", default=None, choices=BACKENDS,
+        help="where shards live: 'serial' (in-process, caller thread; "
+             "the default), 'processes' (one worker process per shard, "
+             "pickled-ndarray ingest + query RPC), or 'tcp' (one "
+             "shard-server session per address in --shard-addrs — same "
+             "protocol over the network, binary column ingest frames)",
     )
     simulate.add_argument(
         "--shard-addrs", default=None, metavar="HOST:PORT,...",
@@ -646,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the sealed watermark, bit-identical to a batch run of the "
              "sealed horizon.  Port 0 picks an ephemeral port (printed "
              "to stdout); bind only to loopback or a trusted network — "
-             "the protocol is pickle-based (docs/DISTRIBUTED.md)",
+             "the protocol has no authentication (docs/DISTRIBUTED.md)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -658,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
         help="listen address; port 0 picks an ephemeral port (the bound "
              "address is printed to stdout).  Bind only to loopback or a "
-             "trusted network — the protocol is pickle-based "
+             "trusted network — the protocol has no authentication "
              "(docs/DISTRIBUTED.md)",
     )
     shard_server.add_argument(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import zlib
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -28,6 +29,11 @@ from repro.telemetry.store import MetricStore
 _HEADER = ("window", "server_id", "pool_id", "datacenter_id", "counter", "value")
 
 PathLike = Union[str, Path]
+
+
+class ArchiveError(ValueError):
+    """An archive that cannot be loaded; the message names the path
+    (and, for a bad row, its line number)."""
 
 
 def _open_text(path: Path, mode: str):
@@ -99,31 +105,44 @@ def import_store(path: PathLike) -> MetricStore:
     """Load a store previously written by :func:`export_store`.
 
     Rows are columnised per (pool, datacenter, counter) table in file
-    order and appended through the store's batch path.
+    order and appended through the store's batch path.  A file that is
+    not a readable archive — wrong header, a short or non-numeric row,
+    truncated or corrupt compression — raises :class:`ArchiveError`; a
+    missing file raises the usual :class:`OSError`.
     """
     path = Path(path)
     store = MetricStore()
     grouped: dict = {}
-    with _open_text(path, "r") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _HEADER:
-            raise ValueError(
-                f"{path} is not a telemetry archive "
-                f"(expected header {_HEADER}, got {header})"
-            )
-        for line_number, row in enumerate(reader, start=2):
-            if len(row) != len(_HEADER):
-                raise ValueError(f"{path}:{line_number}: malformed row {row!r}")
-            window, server_id, pool_id, datacenter_id, counter, value = row
-            key = (pool_id, datacenter_id, counter)
-            bucket = grouped.get(key)
-            if bucket is None:
-                bucket = ([], [], [])
-                grouped[key] = bucket
-            bucket[0].append(int(window))
-            bucket[1].append(store.intern_server(server_id))
-            bucket[2].append(float(value))
+    line_number = 1
+    try:
+        with _open_text(path, "r") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or tuple(header) != _HEADER:
+                raise ArchiveError(
+                    f"{path} is not a telemetry archive "
+                    f"(expected header {_HEADER}, got {header})"
+                )
+            for line_number, row in enumerate(reader, start=2):
+                if len(row) != len(_HEADER):
+                    raise ArchiveError(
+                        f"{path}:{line_number}: malformed row {row!r}"
+                    )
+                window, server_id, pool_id, datacenter_id, counter, value = row
+                key = (pool_id, datacenter_id, counter)
+                bucket = grouped.get(key)
+                if bucket is None:
+                    bucket = ([], [], [])
+                    grouped[key] = bucket
+                bucket[0].append(int(window))
+                bucket[1].append(store.intern_server(server_id))
+                bucket[2].append(float(value))
+    except ArchiveError:
+        raise
+    except (ValueError, EOFError, gzip.BadGzipFile, zlib.error, csv.Error) as error:
+        # A bad number names its row; a decode or decompression error
+        # names the last row read before it.
+        raise ArchiveError(f"{path}:{line_number}: {error}") from error
     for (pool_id, datacenter_id, counter), (windows, indices, values) in grouped.items():
         store.record_columns(
             pool_id,

@@ -115,11 +115,10 @@ class FaultyTransport:
     """A transport wrapper that misbehaves on cue (see module docs).
 
     Duck-types the transport surface the client stack uses — ``send``,
-    ``send_ingest``, ``recv``, ``close`` and the ``binary_frames``
-    negotiation flag — so it can be swapped in front of any
-    :class:`~repro.telemetry.transport.TcpTransport` (including one
-    already owned by a live ``TcpShardClient``, which reads the
-    attribute on every operation).  Frame counting covers both send
+    ``send_ingest``, ``recv`` and ``close`` — so it can be swapped in
+    front of any :class:`~repro.telemetry.transport.TcpTransport`
+    (including one already owned by a live ``TcpShardClient``, which
+    reads the attribute on every operation).  Frame counting covers both send
     flavours; the fault arms once ``after_frames`` frames have gone
     out.  ``close`` is safe at any time, including while a ``hang``
     send is blocking — it wakes the hung thread, which then raises
@@ -148,14 +147,6 @@ class FaultyTransport:
         self._frames_sent = 0
         self._corrupted = False
         self._closed = threading.Event()
-
-    @property
-    def binary_frames(self) -> bool:
-        return self._inner.binary_frames
-
-    @binary_frames.setter
-    def binary_frames(self, value: bool) -> None:
-        self._inner.binary_frames = value
 
     @property
     def frames_sent(self) -> int:

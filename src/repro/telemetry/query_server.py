@@ -34,8 +34,8 @@ Three pieces:
   hang.
 
 The security note of ``docs/DISTRIBUTED.md`` applies unchanged: the
-wire is pickle, so bind the query listener to loopback or a trusted
-network only.
+wire has no authentication, so bind the query listener to loopback or
+a trusted network only.
 """
 
 from __future__ import annotations

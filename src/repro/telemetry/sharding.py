@@ -9,19 +9,13 @@ one facade: N shards, rows routed by
 per worker process) so indices — and thus query ordering — stay
 globally consistent.
 
-Four interchangeable **backends** decide where the shards live:
+Three interchangeable **backends** decide where the shards live:
 
 ``"serial"``
     N local :class:`~repro.telemetry.store.MetricStore` objects,
     appended to one after another on the caller's thread.  Zero
     dispatch overhead; the baseline every other backend must match
     bit-for-bit.
-``"threads"``
-    The same local shards, fanned out through a
-    ``concurrent.futures`` thread pool (``workers`` wide).  Each
-    partition lands on exactly one shard per call, so the fan-out
-    needs no locks; NumPy append work releases the GIL, which is
-    where overlap pays on multi-core machines.
 ``"processes"``
     Each shard is a :class:`~repro.telemetry.workers.ShardWorker` —
     a ``MetricStore`` owned by a ``multiprocessing`` child, fed
@@ -37,8 +31,9 @@ Four interchangeable **backends** decide where the shards live:
     session on a ``repro shard-server`` (one ``host:port`` per shard
     in ``shard_addrs``; the same address may repeat — every
     connection gets its own fresh store).  Identical protocol and
-    coalescing as the processes backend, over length-prefixed pickle
-    frames instead of a pipe — true multi-machine shards.  See
+    coalescing as the processes backend, over length-prefixed frames
+    instead of a pipe (ingest as binary column frames) — true
+    multi-machine shards.  See
     ``docs/DISTRIBUTED.md`` for the wire format and operations.
 
 **Queries** merge shard results shard-wise, identically for every
@@ -59,7 +54,7 @@ backend:
 The result: every query on a :class:`ShardedMetricStore` fed by the
 batch (or blocked-batch) simulation engine is **bit-identical** to the
 same query on a single :class:`MetricStore` fed by the same engine —
-for all four backends, including byte-identical archive exports —
+for every backend, including byte-identical archive exports —
 proven by ``tests/test_sharded_store.py`` and
 ``tests/test_sim_equivalence.py``.
 """
@@ -69,7 +64,6 @@ from __future__ import annotations
 import pickle
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -100,7 +94,7 @@ from repro.telemetry.store import (
 _REDUCERS = ("mean", "sum", "max", "count")
 
 #: Valid values of the ``backend`` constructor knob.
-BACKENDS = ("serial", "threads", "processes", "tcp")
+BACKENDS = ("serial", "processes", "tcp")
 
 #: Backends whose shards live behind a connection (buffered ingest,
 #: explicit flush, close() tears the connection down).
@@ -244,17 +238,9 @@ class ShardedMetricStore:
         Number of partitions.  Rows are routed by
         ``server_index % n_shards``, so one server's history always
         lives on one shard.
-    workers:
-        Ingest fan-out width for the ``"threads"`` backend (capped at
-        ``n_shards`` — more workers than shards cannot help).  The
-        other backends reject ``workers > 1`` to catch confused call
-        sites: serial has no fan-out at all, and processes/tcp always
-        run exactly one remote shard per partition.
     backend:
-        ``"serial"``, ``"threads"``, ``"processes"`` or ``"tcp"`` (see
-        the module docstring for the trade-offs).  ``None`` (default)
-        keeps the historical behaviour: ``"threads"`` when
-        ``workers > 1``, ``"serial"`` otherwise.
+        ``"serial"`` (default), ``"processes"`` or ``"tcp"`` (see the
+        module docstring for the trade-offs).
     flush_rows:
         Remote backends (processes/tcp) only: how many buffered rows
         trigger one coalesced ingest message to a shard (see
@@ -284,11 +270,6 @@ class ShardedMetricStore:
         per-shard ``RuntimeError`` naming the shard and address
         instead of hanging on a hung-but-alive peer; ``None`` (or
         ``<= 0``) disables the bound.
-    binary_frames:
-        TCP backend only: offer the pickle-free binary column frame
-        to each shard server (used when the peer advertises it; a PR 4
-        server transparently keeps receiving pickle frames).  False
-        forces pickle framing for benchmarking or debugging.
     replica_addrs:
         TCP backend only: replica addresses aligned with
         ``shard_addrs`` — entry *i* is the replica (a ``host:port``
@@ -320,35 +301,22 @@ class ShardedMetricStore:
     def __init__(
         self,
         n_shards: int = 4,
-        workers: int = 1,
-        backend: Optional[str] = None,
+        backend: str = "serial",
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         shard_addrs: Optional[Sequence[str]] = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        binary_frames: bool = True,
         replica_addrs: Optional[Sequence] = None,
         journal_rows: Optional[int] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if pipeline_depth < 0:
             raise ValueError("pipeline_depth must be >= 0")
-        if backend is None:
-            backend = "threads" if workers > 1 else "serial"
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if backend == "serial" and workers > 1:
-            raise ValueError("backend='serial' cannot use workers > 1")
-        if backend in _REMOTE_BACKENDS and workers > 1:
-            raise ValueError(
-                f"backend={backend!r} always runs one remote shard per "
-                "partition; workers > 1 is meaningless"
             )
         shard_addresses: Optional[List[Tuple[str, ...]]] = None
         if backend == "tcp":
@@ -385,7 +353,6 @@ class ShardedMetricStore:
             flush_rows=flush_rows,
             connect_timeout=connect_timeout,
             io_timeout=io_timeout,
-            binary_frames=binary_frames,
             pipeline_depth=pipeline_depth,
         )
         self._journals: Optional[List[ShardJournal]] = (
@@ -420,10 +387,6 @@ class ShardedMetricStore:
             self._shards = [
                 MetricStore(interner=self._interner) for _ in range(n_shards)
             ]
-        if backend == "threads" and workers == 1:
-            workers = n_shards
-        self._workers = min(workers, n_shards)
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._agg_cache: Dict[Tuple, TimeSeries] = {}
         #: Streaming state mirrored at the facade: the eviction
         #: watermark applied to every shard, and the incrementally
@@ -467,21 +430,14 @@ LiveQuerySurface` takes it around every read.
 
     @property
     def backend(self) -> str:
-        """The shard placement backend: serial, threads, processes or tcp."""
+        """The shard placement backend: serial, processes or tcp."""
         return self._backend
-
-    @property
-    def workers(self) -> int:
-        """Thread fan-out width (``"threads"`` backend; 1 otherwise means
-        the caller's thread does all appends)."""
-        return self._workers
 
     @property
     def shards(self) -> Tuple[Shard, ...]:
         """The underlying shard handles (read-only view, for tests).
 
-        Local :class:`MetricStore` objects for the serial/threads
-        backends, :class:`ShardWorker` / :class:`TcpShardClient`
+        Local :class:`MetricStore` objects for the serial backend, :class:`ShardWorker` / :class:`TcpShardClient`
         proxies for the remote backends — all answer the same query
         methods (the proxies over RPC).
         """
@@ -564,9 +520,7 @@ LiveQuerySurface` takes it around every read.
     def close(self) -> None:
         """Release backend resources; idempotent, fork- and race-safe.
 
-        Threads backend: shuts the executor down, letting already
-        submitted shard appends finish.  Remote backends (processes /
-        tcp): stops every remote shard (graceful ``stop`` message;
+        Remote backends (processes / tcp): stops every remote shard (graceful ``stop`` message;
         worker children additionally get ``terminate()`` after a
         timeout), after which the store no longer answers queries —
         archive first.  Calling ``close`` a second time, or from a
@@ -578,20 +532,16 @@ LiveQuerySurface` takes it around every read.
         ``multiprocessing.active_children()``).
 
         ``close`` may also race an in-flight ingest on another thread:
-        the lifecycle lock makes the closed flag and the executor
-        handoff atomic, so the racing ``record_*`` call either runs to
-        completion before the executor drains or raises a clean
-        ``RuntimeError("ShardedMetricStore is closed")`` — never the
-        executor's own "cannot schedule new futures" surprise or a
-        send on a torn-down worker connection.
+        the lifecycle lock makes the check-and-set of the closed flag
+        atomic, so exactly one caller tears the shards down, and an
+        ingest that starts afterwards raises a clean
+        ``RuntimeError("ShardedMetricStore is closed")`` instead of
+        sending on a torn-down worker connection.
         """
         with self._lifecycle_lock:
             if self._closed:
                 return
             self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
         if self._backend in _REMOTE_BACKENDS:
             for shard in self._shards:
                 shard.close()
@@ -608,7 +558,7 @@ LiveQuerySurface` takes it around every read.
     def flush(self) -> None:
         """Force buffered remote ingest out (processes/tcp backends).
 
-        No-op for serial/threads, where appends are synchronous.  Not
+        No-op for serial, where appends are synchronous.  Not
         normally needed — every query flushes the shard it reads — but
         useful to bound parent-side buffer memory at a known point.
         With pipelining the flushed frames may still be queued or in
@@ -622,23 +572,11 @@ LiveQuerySurface` takes it around every read.
     def _ensure_open(self) -> None:
         """Ingest guard: a closed store must fail loudly, not race.
 
-        Raised eagerly on every ``record_*`` entry point so the
-        threads backend cannot submit to a drained executor and the
-        remote backends cannot write to a torn-down connection.
+        Raised eagerly on every ``record_*`` entry point so the remote
+        backends cannot write to a torn-down connection.
         """
         if self._closed:
             raise RuntimeError("ShardedMetricStore is closed")
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lifecycle_lock:
-            if self._closed:
-                raise RuntimeError("ShardedMetricStore is closed")
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._workers,
-                    thread_name_prefix="metric-shard",
-                )
-            return self._executor
 
     # ------------------------------------------------------------------
     # Server interning (shared across shards)
@@ -664,40 +602,6 @@ LiveQuerySurface` takes it around every read.
     # ------------------------------------------------------------------
     # Ingest (shard fan-out)
     # ------------------------------------------------------------------
-    def _dispatch(self, parts: List[Tuple[int, tuple]], method: str) -> None:
-        """Run ``shard.<method>(*args)`` for every (shard id, args) part.
-
-        Each partition touches exactly one shard, so concurrent
-        dispatch needs no locking; the caller thread owns the interner
-        and all bookkeeping that spans shards.  Backends differ only
-        here: serial runs parts inline; threads submits them to the
-        pool and waits; processes hands them to the worker proxies,
-        whose buffered ingest returns immediately (the pickling cost is
-        paid at flush time, the ack — if an ingest error occurred — at
-        the next query).
-        """
-        if (
-            self._backend == "threads"
-            and self._workers > 1
-            and len(parts) > 1
-        ):
-            executor = self._ensure_executor()
-            try:
-                futures = [
-                    executor.submit(getattr(self._shards[shard_id], method), *args)
-                    for shard_id, args in parts
-                ]
-            except RuntimeError as error:
-                # Lost the race with close(): the executor drained
-                # between _ensure_executor and submit.  Surface the
-                # same clean error a pre-checked caller would see.
-                raise RuntimeError("ShardedMetricStore is closed") from error
-            for future in futures:
-                future.result()
-        else:
-            for shard_id, args in parts:
-                getattr(self._shards[shard_id], method)(*args)
-
     def record_columns(
         self,
         pool_id: str,
@@ -715,8 +619,8 @@ LiveQuerySurface` takes it around every read.
         order the merge layer relies on — for the processes backend
         too, because each worker applies its command stream FIFO.
         With remote shards (processes/tcp), the partitioned arrays are
-        buffered and later pickled once each; with serial/threads they
-        are appended to local chunk lists with no copy.
+        buffered and later encoded once each; with serial they are
+        appended to local chunk lists with no copy.
         """
         self._ensure_open()
         if values.size == 0:
@@ -780,7 +684,11 @@ LiveQuerySurface` takes it around every read.
                     self._journals[shard_id].append(
                         "record_columns", args, int(args[5].size)
                     )
-            self._dispatch(parts, "record_columns")
+            # Serial shards append inline; remote proxies buffer and
+            # return (the encoding is paid at flush, any ingest error
+            # surfaces at the next query).
+            for shard_id, args in parts:
+                self._shards[shard_id].record_columns(*args)
         if self._agg_cache:
             self._agg_cache.clear()
 

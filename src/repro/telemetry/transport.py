@@ -13,13 +13,13 @@ interface:
     are the connection's own; this is the transport the
     ``"processes"`` backend has always used.
 :class:`TcpTransport`
-    A TCP socket speaking length-prefixed pickle frames (the wire
-    format below).  This is the ``"tcp"`` backend's pipe: the same
+    A TCP socket speaking length-prefixed frames (the wire format
+    below).  This is the ``"tcp"`` backend's pipe: the same
     protocol messages, now able to cross machines.  The full
     operator-facing spec lives in ``docs/DISTRIBUTED.md``.
 
 Both expose the same surface — ``send(message)``, ``send_ingest(names,
-commands)`` (the ingest fast path, free to pick a wire encoding),
+commands)`` (the ingest fast path, free to pick its own encoding),
 ``recv()`` (raising :class:`EOFError` on clean peer close) and
 ``close()`` — so the worker serve loop and the client proxies never
 know which one they hold.
@@ -34,17 +34,18 @@ message)::
     +------------------------------------+---------------------------+
 
 Frame kind 0 (``pickle``) carries ``pickle.dumps(message,
-protocol=HIGHEST_PROTOCOL)`` — any protocol message; ndarray columns
-inside ingest messages cross the wire as raw buffers, exactly as they
-cross a ``multiprocessing`` pipe.  PR 4 peers only ever produced this
-kind (their top header byte was always zero because payloads are
-capped far below 2^56), so kind-0 frames are bit-compatible with the
-original wire format.
+protocol=HIGHEST_PROTOCOL)`` — the ``call``/``stop`` messages and
+their replies.  The receiver decodes it with a restricted unpickler
+(:data:`_PICKLE_GLOBALS` lists every class or function a frame may
+name: numpy arrays, dtypes and scalars, ``TimeSeries``, and exception
+classes for error replies); a frame naming anything else is refused
+before any of it runs.
 
-Frame kind 1 (``binary ingest``) is a pickle-free encoding of the one
+Frame kind 1 (``binary ingest``) is the pickle-free encoding of the one
 hot message, ``("ingest", names, commands)`` where every command is a
 ``record_columns`` call over the fixed ``(int64, int64, float64)``
-column layout.  Layout of the payload (lengths big-endian, array data
+column layout.  :meth:`TcpTransport.send_ingest` always uses it.
+Layout of the payload (lengths big-endian, array data
 little-endian)::
 
     u32 n_names; n_names x (u32 byte_len, utf-8 bytes)
@@ -56,25 +57,28 @@ little-endian)::
         n_rows x i64 (LE)                  server indices
         n_rows x f64 (LE)                  values
 
-A client only emits kind 1 after the per-session capability probe (see
-:mod:`repro.telemetry.workers`) confirmed the peer decodes it — old
-peers keep receiving kind 0 and never see an unknown frame.  Frames
-are strictly sequential per connection (the protocol is FIFO by
-design); a frame claiming an unknown kind or more than
-``MAX_FRAME_BYTES`` is treated as evidence the peer is not speaking
-this protocol and kills the connection rather than attempting a giant
-allocation.
+Frames are strictly sequential per connection (the protocol is FIFO
+by design).  A frame claiming an unknown kind or more than
+``MAX_FRAME_BYTES``, a payload that does not decode, or a pickle naming
+a global outside the allowlist is treated as evidence the peer is not
+speaking this protocol: :meth:`TcpTransport.recv` raises
+:class:`ConnectionError` and the session ends.  Payload memory beyond
+the first 16 MiB is allocated only as bytes arrive, so a header
+claiming a huge length cannot make the receiver allocate it.
 
-**Security**: pickle deserialisation executes arbitrary code by
-design.  A shard server must only ever listen on loopback or an
-otherwise trusted, access-controlled network — the same trust model as
-a ``multiprocessing`` pipe, stretched across machines, and the reason
-the default listen address is ``127.0.0.1``.
+**Security**: the restricted unpickler keeps a peer from running code
+through a kind-0 frame, but the wire has no authentication — any peer
+that can connect may ingest rows and read every shard.  A shard or
+query server must only listen on loopback or an otherwise trusted,
+access-controlled network, which is why the default listen address is
+``127.0.0.1``.
 """
 
 from __future__ import annotations
 
+import builtins
 import pickle
+import pickletools
 import socket
 import struct
 import time
@@ -90,8 +94,7 @@ _HEADER = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
-#: Header frame kinds.  PR 4 peers only ever emitted kind 0 (their
-#: header was a bare length, and lengths never reach the top byte).
+#: Header frame kinds.
 FRAME_PICKLE = 0
 FRAME_BINARY_INGEST = 1
 
@@ -102,6 +105,32 @@ _LENGTH_MASK = (1 << _KIND_SHIFT) - 1
 #: smaller (an ingest message holds at most ``flush_rows`` rows); a
 #: length beyond this means the peer is not speaking the protocol.
 MAX_FRAME_BYTES = 1 << 40
+
+#: How much payload memory :meth:`TcpTransport.recv` allocates before
+#: any of it has arrived; larger frames grow their buffer as bytes come
+#: in.  Covers a full default ingest frame (65536 rows, ~1.6 MB).
+_RECV_PREALLOC_BYTES = 1 << 24
+
+#: The ``(module, name)`` globals a kind-0 frame may name: what numpy
+#: arrays, dtypes and scalars, ``TimeSeries`` and the repro error
+#: classes pickle to.  Builtin exception classes are allowed too (see
+#: :class:`_FrameUnpickler`).
+_PICKLE_GLOBALS = frozenset({
+    ("numpy", "dtype"),
+    ("numpy", "ndarray"),
+    ("numpy._core.numeric", "_frombuffer"),
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy._core.multiarray", "scalar"),
+    ("repro.telemetry.series", "TimeSeries"),
+    ("repro.telemetry.workers", "IngestCommandError"),
+    ("repro.telemetry.workers", "ShardConnectionError"),
+})
+
+#: Memo opcodes that name an explicit index.  Protocol 4+ senders only
+#: emit ``MEMOIZE``; an explicit index makes the C unpickler grow its
+#: memo table to twice that index, so one opcode could allocate
+#: gigabytes.  Kind-0 frames carrying one are refused.
+_INDEXED_MEMO_OPCODES = frozenset({"PUT", "BINPUT", "LONG_BINPUT"})
 
 #: How long :meth:`TcpTransport.connect` keeps retrying a refused
 #: connection before giving up (seconds).  Covers the "client raced the
@@ -123,8 +152,7 @@ _RETRY_INTERVAL = 0.05
 _SENDV_COALESCE_BYTES = 1 << 16
 
 #: The binary ingest frame's column dtypes (explicitly little-endian;
-#: on a big-endian host the encoder falls back to pickle rather than
-#: silently shipping native-endian bytes).
+#: the encoder converts columns in any other layout).
 _I64 = np.dtype("<i8")
 _F64 = np.dtype("<f8")
 
@@ -204,6 +232,78 @@ class PipeTransport:
         self._conn.close()
 
 
+class _FrameUnpickler(pickle.Unpickler):
+    """Unpickler for kind-0 payloads: resolves only allowlisted globals.
+
+    Everything a pickle can *run* goes through :meth:`find_class`, so
+    refusing unknown globals there means a peer's frame can build the
+    protocol's data types and nothing else.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) in _PICKLE_GLOBALS:
+            return super().find_class(module, name)
+        if module == "builtins":
+            candidate = getattr(builtins, name, None)
+            if isinstance(candidate, type) and issubclass(
+                candidate, BaseException
+            ):
+                return candidate
+        raise pickle.UnpicklingError(
+            f"frame names the disallowed global {module}.{name}"
+        )
+
+
+class _PayloadReader:
+    """The file interface :func:`_unpickle_frame` reads a payload from.
+
+    Reads straight out of the received buffer: ``io.BytesIO`` would
+    first copy it, which for a multi-megabyte reply costs several times
+    more than the unpickling itself.
+    """
+
+    def __init__(self, payload: bytearray) -> None:
+        self._payload = payload
+        self._view = memoryview(payload)
+        self._pos = 0
+
+    def read(self, n: int = -1) -> bytes:
+        end = len(self._payload) if n < 0 else self._pos + n
+        data = bytes(self._view[self._pos:end])
+        self._pos += len(data)
+        return data
+
+    def readinto(self, buffer) -> int:
+        data = self._view[self._pos:self._pos + len(buffer)]
+        buffer[:len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+    def readline(self) -> bytes:
+        end = self._payload.find(b"\n", self._pos)
+        return self.read(-1 if end < 0 else end + 1 - self._pos)
+
+
+def _unpickle_frame(payload: bytearray) -> Any:
+    """Decode a kind-0 payload; any failure means a foreign peer.
+
+    The opcode stream is checked in full before anything is built:
+    every length it claims must be present, and no opcode may name a
+    memo index.
+    """
+    try:
+        for opcode, _arg, _pos in pickletools.genops(_PayloadReader(payload)):
+            if opcode.name in _INDEXED_MEMO_OPCODES:
+                raise pickle.UnpicklingError(
+                    f"frame uses the {opcode.name} memo opcode"
+                )
+        return _FrameUnpickler(_PayloadReader(payload)).load()
+    except Exception as error:  # noqa: BLE001 — peer bytes, any failure
+        raise ConnectionError(
+            f"malformed pickle frame: {type(error).__name__}: {error}"
+        ) from None
+
+
 class TcpTransport:
     """Length-prefixed frames (pickle or binary) over one TCP connection.
 
@@ -220,13 +320,6 @@ class TcpTransport:
     hung-but-alive peer (``None`` disables the bound).  The connection
     is unusable after a timeout — a partial frame may be in flight —
     so callers must treat it as lost.
-
-    ``binary_frames`` controls the *outgoing* encoding of
-    :meth:`send_ingest`: when ``True`` (set by the client after the
-    capability probe confirmed the peer decodes kind-1 frames),
-    all-``record_columns`` ingest messages skip pickle entirely and
-    cross as the raw column layout in the module docstring.  Incoming
-    frames need no flag — the header names their kind.
     """
 
     def __init__(
@@ -235,7 +328,6 @@ class TcpTransport:
         io_timeout: float | None = None,
     ) -> None:
         self._sock = sock
-        self.binary_frames = False
         sock.settimeout(io_timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -283,20 +375,8 @@ class TcpTransport:
         self._sock.sendall(_HEADER.pack(len(payload)) + payload)
 
     def send_ingest(self, names: List[str], commands: List[tuple]) -> None:
-        """Send one ``("ingest", names, commands)`` message.
-
-        Uses the kind-1 binary frame when the session negotiated it and
-        every command fits the fixed column layout; anything else (an
-        un-negotiated session, non-contiguous or exotic-dtype columns)
-        falls back to the kind-0 pickle frame, so the fast path never
-        restricts what the protocol can carry.
-        """
-        if self.binary_frames:
-            buffers = _encode_binary_ingest(names, commands)
-            if buffers is not None:
-                self._sendv(buffers)
-                return
-        self.send(("ingest", names, commands))
+        """Send one ``("ingest", names, commands)`` as a kind-1 frame."""
+        self._sendv(_encode_binary_ingest(names, commands))
 
     def _sendv(self, buffers: Sequence) -> None:
         """Write a buffer sequence: small fields coalesce into one
@@ -339,7 +419,7 @@ class TcpTransport:
         payload = self._recv_exact(length)
         if kind == FRAME_BINARY_INGEST:
             return _decode_binary_ingest(payload)
-        return pickle.loads(payload)
+        return _unpickle_frame(payload)
 
     def _recv_exact(self, n: int, eof_ok: bool = False) -> bytearray:
         """Read exactly ``n`` bytes into one (writable) buffer.
@@ -349,13 +429,18 @@ class TcpTransport:
         ``multiprocessing`` connections; EOF mid-frame means the peer
         died and raises :class:`ConnectionError`.  Returning a
         ``bytearray`` lets the binary decoder hand out writable ndarray
-        views of the payload with zero further copies.
+        views of the payload with zero further copies.  At most
+        ``_RECV_PREALLOC_BYTES`` are allocated up front; beyond that
+        the buffer doubles only as bytes arrive, so memory tracks what
+        the peer sent rather than what its header claimed.
         """
-        buffer = bytearray(n)
-        view = memoryview(buffer)
+        buffer = bytearray(min(n, _RECV_PREALLOC_BYTES))
         received = 0
         while received < n:
-            chunk = self._sock.recv_into(view[received:])
+            if received == len(buffer):
+                buffer.extend(bytes(min(len(buffer), n - received)))
+            with memoryview(buffer)[received:] as view:
+                chunk = self._sock.recv_into(view)
             if not chunk:
                 if eof_ok and received == 0:
                     raise EOFError("peer closed the connection")
@@ -372,32 +457,15 @@ class TcpTransport:
 
 
 def _encode_binary_ingest(names, commands):
-    """Encode an ingest message as kind-1 buffers, or ``None``.
+    """Encode an ingest message as kind-1 buffers, header first.
 
-    ``None`` means "not encodable, use pickle": columns that are not
-    the fixed contiguous ``(int64, int64, float64)`` layout.  Only
-    ``record_columns`` is ever ingested (the serve loop refuses any
-    other name), so a different name also falls back to the pickle
-    frame, where the peer refuses it by name.  On success returns the full
-    buffer sequence — header first — ready for a vectored send; column
-    arrays are passed through as memoryviews, so large arrays are never
-    copied on the way out.
+    Every command must be ``record_columns``, the only method ingest
+    may name (the frame has no method field).  Columns already in the
+    contiguous ``(<i8, <i8, <f8)`` layout are passed through as
+    memoryviews, so large arrays are never copied on the way out; any
+    other layout (a strided slice, ``int32`` indices) is converted
+    first.
     """
-    for method, args in commands:
-        if method != "record_columns":
-            return None
-        windows, server_indices, values = args[3], args[4], args[5]
-        for array, dtype in (
-            (windows, _I64),
-            (server_indices, _I64),
-            (values, _F64),
-        ):
-            if (
-                not isinstance(array, np.ndarray)
-                or array.dtype != dtype
-                or not array.flags.c_contiguous
-            ):
-                return None
     fields = bytearray()
     buffers: List = [b""]  # header placeholder, filled in below
     fields += _U32.pack(len(names))
@@ -409,7 +477,10 @@ def _encode_binary_ingest(names, commands):
     total = len(fields)
     for _method, args in commands:
         pool_id, datacenter_id, counter = args[0], args[1], args[2]
-        windows, server_indices, values = args[3], args[4], args[5]
+        windows, server_indices, values = (
+            np.ascontiguousarray(array, dtype)
+            for array, dtype in zip(args[3:6], (_I64, _I64, _F64))
+        )
         meta = bytearray()
         for text in (pool_id, datacenter_id, counter):
             encoded = text.encode("utf-8")
@@ -472,7 +543,7 @@ def _decode_binary_ingest(payload: bytearray):
             )
         if offset != len(payload):
             raise ValueError("trailing bytes")
-    except (struct.error, ValueError, UnicodeDecodeError) as error:
+    except (struct.error, ValueError, OverflowError) as error:
         raise ConnectionError(
             f"malformed binary ingest frame: {error}"
         ) from None

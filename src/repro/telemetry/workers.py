@@ -18,8 +18,8 @@ Two placements share everything but the pipe:
     duplex pipe (:class:`~repro.telemetry.transport.PipeTransport`).
     The ``"processes"`` backend.
 :class:`TcpShardClient` / :class:`ShardServer`
-    One TCP session per shard, reached over length-prefixed pickle
-    frames (:class:`~repro.telemetry.transport.TcpTransport`).  A
+    One TCP session per shard, reached over length-prefixed frames
+    (:class:`~repro.telemetry.transport.TcpTransport`).  A
     :class:`ShardServer` — also exposed as the ``repro shard-server``
     CLI command — accepts any number of sessions and gives each one
     its own fresh ``MetricStore``, so *one connection is one shard*
@@ -38,26 +38,19 @@ strictly FIFO; the wire encoding is the transport's business):
     :class:`IngestCommandError`, deferred to the next ``call``.  Small
     parts coalesce: the proxy buffers commands until ``flush_rows`` rows
     are pending (or a query/close forces a flush), so one message
-    amortises pickling and wakeup cost across many appends.
+    amortises encoding and wakeup cost across many appends.
 ``("call", names, method, args, kwargs)``
     Synchronous query RPC.  The serve loop resolves ``method`` on its
     store (plain attributes answer property reads, generators are
     materialised into lists so they can cross the connection) and
     replies ``("ok", result)`` or ``("err", exception)``.  Any
     exception a previous *ingest* message raised is delivered here
-    instead — ingest errors are deferred, never lost.  One method
-    name is reserved: ``protocol_capabilities`` is answered by the
-    serve loop itself (:data:`SESSION_CAPABILITIES`) without touching
-    the store — the capability probe a client sends once per session
-    to learn whether the peer decodes binary ingest frames.  A PR 4
-    serve loop answers it with an ``AttributeError``, which a probing
-    client reads as "pickle frames only" — so old and new peers
-    interoperate in both directions.
+    instead — ingest errors are deferred, never lost.
 ``("stop",)``
     Graceful shutdown of this session; so is a clean EOF (the client
     vanishing ends the session, never the server).
 
-A second method name is reserved: ``resync`` makes the serve loop
+One method name is reserved: ``resync`` makes the serve loop
 drop this session's store and start over from the client's
 authoritative state — the *full* interner name table rides the resync
 call's names field (not a delta), and the client follows up with
@@ -65,8 +58,6 @@ ordinary ingest frames replaying its journal.  This is the rejoin
 path for a restarted shard server: the rebuilt session reconverges to
 the exact pre-crash store state (see
 :meth:`~repro.telemetry.sharding.ShardedMetricStore.rejoin_shard`).
-A PR 5 serve loop answers ``resync`` with an ``AttributeError``,
-which the client reports as "peer does not support resync".
 
 **Replication**: :class:`ReplicatedShardClient` mirrors one shard
 across several TCP sessions (a primary plus replicas).  Every ingest
@@ -105,18 +96,18 @@ answer with the right strings.  This replication discipline is what
 lets the identical protocol run over a pipe or a socket unchanged.
 
 Cost model: every row crosses the placement boundary exactly once as
-part of a pickled ``int64``/``float64`` ndarray (~24 bytes/row of
-payload), and every query result crosses back once.  On a single CPU
-that serialisation is pure overhead — the threads backend exists for
-exactly that reason — but a remote shard keeps its entire store,
-freeze, and aggregate-cache workload off the simulating process, which
-is what pays once shards outgrow one core or one host.
+part of an ``int64``/``float64`` column (~24 bytes/row of payload),
+and every query result crosses back once.  On a single CPU that
+serialisation is pure overhead — the serial backend avoids it — but a
+remote shard keeps its entire store, freeze, and aggregate-cache
+workload off the simulating process, which is what pays once shards
+outgrow one core or one host.
 
 Equivalence: a remote shard applies the identical ``record_columns``
 calls in the identical order a local shard would see, so its tables —
 and therefore every query answer and export — are bit-identical to the
 serial backend's.  ``tests/test_sharded_store.py`` and
-``tests/test_sim_equivalence.py`` enforce this for all four backends.
+``tests/test_sim_equivalence.py`` enforce this for every backend.
 """
 
 from __future__ import annotations
@@ -145,15 +136,8 @@ DEFAULT_FLUSH_ROWS = 65536
 #: Default bound on a shard's pipelined send queue: how many coalesced
 #: ingest frames may be queued or in flight before the next ``flush``
 #: blocks (backpressure).  0 disables pipelining — every flush sends
-#: synchronously on the caller's thread, the PR 4 behaviour.
+#: synchronously on the caller's thread.
 DEFAULT_PIPELINE_DEPTH = 4
-
-#: What this serve loop can do beyond the PR 4 protocol, answered to
-#: the ``protocol_capabilities`` probe RPC.  A PR 4 server has no
-#: probe handler and answers the probe with an ``AttributeError``,
-#: which clients treat as "no capabilities" — that asymmetry is the
-#: whole negotiation.
-SESSION_CAPABILITIES = {"binary_ingest": True, "resync": True}
 
 #: The only store method an ``("ingest", ...)`` frame may name.  Ingest
 #: is fire-and-forget, so a frame naming anything else (``evict_windows``,
@@ -228,16 +212,6 @@ def serve_shard(transport, store: Optional[MetricStore] = None) -> None:
                     break
                 continue
             _replay_names(store.interner, message[1])
-            if _method == "protocol_capabilities":
-                # Session-level probe, answered here: capabilities
-                # describe the serve loop, not the store — and old
-                # loops without this branch answer AttributeError,
-                # which probing clients read as "no capabilities".
-                if not _send_reply(
-                    transport, ("ok", dict(SESSION_CAPABILITIES))
-                ):
-                    break
-                continue
             if deferred is not None:
                 error, deferred = deferred, None
                 if not _send_reply(transport, ("err", error)):
@@ -400,7 +374,7 @@ class ShardClient(_ShardQuerySurface):
     remote-shard handles where it would otherwise hold local stores.
     All answers are bit-identical to a local shard fed the same calls
     (the serve loop applies the same methods in the same order); the
-    difference is purely *where* the rows live and the one pickling
+    difference is purely *where* the rows live and the one encoding
     round trip each row (ingest) and each result (query) pays.
 
     Not thread-safe: one owner (the facade) talks to one shard.
@@ -687,20 +661,12 @@ class ShardClient(_ShardQuerySurface):
         (:meth:`~repro.telemetry.sharding.ShardedMetricStore.\
 rejoin_shard`) then replays its journal as ordinary ingest, after
         which the rejoined shard's store is bit-identical to the one
-        that crashed.  A PR 5 peer has no ``resync`` branch and
-        answers with ``AttributeError``, reported here as an
-        unsupported-peer error.
+        that crashed.
         """
         if self._closed:
             raise RuntimeError("ShardClient is closed")
         self._synced_names = 0
-        try:
-            self.call("resync")
-        except AttributeError as error:
-            raise RuntimeError(
-                f"shard {self._shard_id} ({self._peer()}): peer does "
-                f"not support the resync RPC (pre-replication server)"
-            ) from error
+        self.call("resync")
 
     # ------------------------------------------------------------------
     # Ingest (buffered, fire-and-forget)
@@ -718,7 +684,7 @@ rejoin_shard`) then replays its journal as ordinary ingest, after
 
         Same contract as :meth:`MetricStore.record_columns` — the
         proxy takes ownership of the arrays (they are held until the
-        next flush, then pickled across the connection).  Nothing
+        next flush, then encoded across the connection).  Nothing
         crosses the placement boundary until the batching threshold is
         hit, so per-window parts from a blocked simulation coalesce
         into few large messages.
@@ -801,13 +767,8 @@ class TcpShardClient(ShardClient):
     refused-connection retry window, so starting client and server
     "at the same time" works) and owns exactly one server session —
     the server made a fresh store when this connection arrived and
-    will drop it when the connection ends.  Construction then probes
-    the session's capabilities (one ``protocol_capabilities`` RPC):
-    a peer that advertises ``binary_ingest`` receives pickle-free
-    binary column frames for the rest of the session, a PR 4 peer
-    answers the probe with ``AttributeError`` and keeps receiving
-    pickle frames (set ``binary_frames=False`` to skip the probe and
-    force pickle).  :meth:`close` says goodbye with a ``("stop",)``
+    will drop it when the connection ends.  Ingest crosses as binary
+    column frames.  :meth:`close` says goodbye with a ``("stop",)``
     message before closing the socket; a vanished server surfaces as
     a ``RuntimeError`` naming the address, and ``io_timeout`` bounds
     every socket operation so even a hung-but-alive server is an
@@ -822,7 +783,6 @@ class TcpShardClient(ShardClient):
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        binary_frames: bool = True,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     ) -> None:
         super().__init__(
@@ -836,24 +796,6 @@ class TcpShardClient(ShardClient):
         self._transport = TcpTransport.connect(
             address, timeout=connect_timeout, io_timeout=io_timeout
         )
-        if binary_frames:
-            try:
-                try:
-                    capabilities = self.call("protocol_capabilities")
-                except AttributeError:
-                    # A PR 4 peer: no probe handler, so its serve loop
-                    # answered the reserved method with AttributeError.
-                    # Speak pickle frames for the whole session.
-                    capabilities = {}
-            except BaseException:
-                # Probe failed hard (peer hung or died): the dial
-                # already succeeded, so close the session instead of
-                # leaking the socket and its server-side thread.
-                self._transport.close()
-                raise
-            self._transport.binary_frames = bool(
-                capabilities.get("binary_ingest", False)
-            )
 
     @property
     def address(self) -> str:
@@ -916,7 +858,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
         flush_rows: int = DEFAULT_FLUSH_ROWS,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-        binary_frames: bool = True,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     ) -> None:
         if not addresses:
@@ -940,7 +881,6 @@ class ReplicatedShardClient(_ShardQuerySurface):
                         flush_rows=flush_rows,
                         connect_timeout=connect_timeout,
                         io_timeout=io_timeout,
-                        binary_frames=binary_frames,
                         pipeline_depth=pipeline_depth,
                     )
                 )
@@ -1125,7 +1065,7 @@ class ShardServer:
     ``stop()`` closes the listener and every live session; it is
     idempotent.  Sessions end individually on their client's
     ``("stop",)`` or clean EOF — a client vanishing never takes the
-    server down.  Security note: the protocol is pickle-based, so
+    server down.  Security note: the wire has no authentication, so
     listen only on loopback or a trusted network (see
     :mod:`repro.telemetry.transport`).
     """

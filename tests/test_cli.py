@@ -1,7 +1,6 @@
 """CLI argument parsing and the simulate command's store/engine wiring.
 
-Covers the engine/shards/workers/shard-backend/block-windows
-combinations, the archive-optional path of ``python -m repro
+Covers the engine/shards/shard-backend/block-windows combinations, the archive-optional path of ``python -m repro
 simulate``, and the distributed path: ``repro shard-server`` hosting
 remote shards that ``simulate --shard-backend tcp`` writes through.
 """
@@ -13,6 +12,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.cluster.simulation import ENGINES
+from repro.telemetry.sharding import BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,13 +34,12 @@ class TestSimulateParsing:
         assert args.output is None
         assert args.engine == "batch"
         assert args.shards == 1
-        assert args.workers == 1
         assert args.block_windows == 1
         assert args.shard_backend is None
         assert args.windows is None
         assert args.days == 2.0
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_shard_backend_choices(self, backend):
         args = self.parser.parse_args(["simulate", "--shard-backend", backend])
         assert args.shard_backend == backend
@@ -48,6 +47,15 @@ class TestSimulateParsing:
     def test_unknown_shard_backend_rejected(self):
         with pytest.raises(SystemExit):
             self.parser.parse_args(["simulate", "--shard-backend", "rayon"])
+
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "2"], ["--shard-backend", "threads"]],
+        ids=["--workers", "threads"],
+    )
+    def test_removed_thread_fanout_flags_are_usage_errors(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            self.parser.parse_args(["simulate", *flags])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_choices(self, engine):
@@ -64,23 +72,22 @@ class TestSimulateParsing:
                 "simulate",
                 "out.csv",
                 "--shards", "4",
-                "--workers", "2",
                 "--block-windows", "32",
                 "--windows", "10",
             ]
         )
         assert args.output == "out.csv"
-        assert (args.shards, args.workers, args.block_windows) == (4, 2, 32)
+        assert (args.shards, args.block_windows) == (4, 32)
         assert args.windows == 10
 
     def test_archive_is_optional(self):
         args = self.parser.parse_args(["simulate", "--windows", "5"])
         assert args.output is None
 
-    @pytest.mark.parametrize("flag", ["--shards", "--workers", "--block-windows"])
+    @pytest.mark.parametrize("flag", ["--shards", "--block-windows"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_out_of_range_values_rejected_cleanly(self, flag, value):
-        """Invalid shard/worker/block values exit 2 via argparse."""
+        """Invalid shard/block values exit 2 via argparse."""
         with pytest.raises(SystemExit) as excinfo:
             self.parser.parse_args(["simulate", flag, value])
         assert excinfo.value.code == 2
@@ -168,11 +175,9 @@ class TestSimulateExecution:
             [],
             ["--engine", "legacy"],
             ["--shards", "2"],
-            ["--shards", "2", "--workers", "2"],
             ["--block-windows", "2"],
-            ["--shards", "3", "--workers", "2", "--block-windows", "2"],
+            ["--shards", "3", "--block-windows", "2"],
             ["--shards", "2", "--shard-backend", "serial"],
-            ["--shards", "2", "--shard-backend", "threads"],
             ["--shards", "2", "--shard-backend", "processes"],
             ["--shard-backend", "processes"],  # implies a sharded store
         ],
@@ -200,12 +205,6 @@ class TestSimulateExecution:
 
     def test_block_windows_with_legacy_engine_fails_cleanly(self):
         assert main(self.BASE + ["--engine", "legacy", "--block-windows", "4"]) == 2
-
-    def test_serial_backend_with_workers_fails_cleanly(self):
-        assert main(
-            self.BASE + ["--shards", "2", "--workers", "2",
-                         "--shard-backend", "serial"]
-        ) == 2
 
     def test_processes_archive_matches_single(self, tmp_path):
         """CLI process-backed export is byte-identical to unsharded."""
@@ -334,6 +333,58 @@ class TestPlanErrors:
         assert main(["plan", str(archive), "--slo-ms", "0.5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: pool B: latency limit 0.5 ms")
+        assert "Traceback" not in err
+
+
+def _truncated_gzip(tmp_path):
+    """A real archive cut in half: gzip hits EOF mid-stream."""
+    path = tmp_path / "archive.csv.gz"
+    main([
+        "simulate", str(path), "--windows", "36", "--servers", "2",
+        "--datacenters", "1", "--pools", "B", "--seed", "3",
+    ])
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    return path, "Compressed file ended before the end-of-stream marker"
+
+
+def _bad_header(tmp_path):
+    path = tmp_path / "archive.csv"
+    path.write_text("nope,nope\n1,2\n")
+    return path, "is not a telemetry archive"
+
+
+def _non_numeric_value(tmp_path):
+    path = tmp_path / "archive.csv"
+    path.write_text(
+        "window,server_id,pool_id,datacenter_id,counter,value\n"
+        "0,s0,B,DC1,CPU,1.5\n"
+        "1,s0,B,DC1,CPU,abc\n"
+    )
+    return path, f"{path}:3: could not convert string to float: 'abc'"
+
+
+def _missing_file(tmp_path):
+    return tmp_path / "archive.csv", "No such file or directory"
+
+
+class TestArchiveErrors:
+    """An unreadable archive is a named error and exit 2 for every
+    analysis command, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "make_archive",
+        [_truncated_gzip, _bad_header, _non_numeric_value, _missing_file],
+        ids=["truncated-gzip", "bad-header", "non-numeric-value", "missing-file"],
+    )
+    @pytest.mark.parametrize("command", ["plan", "validate", "availability"])
+    def test_unreadable_archive_exits_2(self, command, make_archive, tmp_path, capsys):
+        path, expected = make_archive(tmp_path)
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert expected in err
         assert "Traceback" not in err
 
 

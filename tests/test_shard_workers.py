@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.telemetry.sharding import ShardedMetricStore
+from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 from repro.telemetry.workers import ShardWorker
 
 
@@ -41,20 +41,12 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             ShardedMetricStore(n_shards=2, backend="rayon")
         with pytest.raises(ValueError):
-            ShardedMetricStore(n_shards=2, backend="serial", workers=2)
-        with pytest.raises(ValueError):
-            # processes always runs one worker child per shard.
-            ShardedMetricStore(n_shards=2, backend="processes", workers=2)
+            ShardedMetricStore(n_shards=2, backend="threads")
         with pytest.raises(ValueError):
             ShardedMetricStore(n_shards=2, backend="processes", flush_rows=0)
         with pytest.raises(ValueError):
             # tcp cannot guess where its shard servers live ...
             ShardedMetricStore(n_shards=2, backend="tcp")
-        with pytest.raises(ValueError):
-            # ... runs one session per address ...
-            ShardedMetricStore(
-                backend="tcp", shard_addrs=["127.0.0.1:1"], workers=2
-            )
         with pytest.raises(ValueError):
             # ... and owns the shard_addrs knob exclusively.
             ShardedMetricStore(n_shards=2, backend="serial",
@@ -70,14 +62,7 @@ class TestLifecycle:
     def test_backend_defaults_keep_historic_behaviour(self):
         serial = ShardedMetricStore(n_shards=2)
         assert serial.backend == "serial"
-        threaded = ShardedMetricStore(n_shards=2, workers=2)
-        assert threaded.backend == "threads"
-        threaded.close()
-        # Explicit threads backend defaults its pool to one thread per
-        # shard instead of a pointless single-thread pool.
-        explicit = ShardedMetricStore(n_shards=3, backend="threads")
-        assert explicit.workers == 3
-        explicit.close()
+        assert BACKENDS == ("serial", "processes", "tcp")
 
     def test_processes_spawn_one_worker_per_shard(self):
         with ShardedMetricStore(n_shards=3, backend="processes") as store:

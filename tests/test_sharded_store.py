@@ -5,12 +5,10 @@ same batches — bit-identical for every query whose accumulation order
 is defined (aggregates, matrices, per-server reads, series, exports) —
 with rows physically spread across shards by server index.  The
 ``pair`` fixture parametrizes the whole equivalence suite over all
-four shard backends (serial, threads, processes, tcp), so every
+three shard backends (serial, processes, tcp), so every
 assertion below — including the byte-identical export check — also
 proves the worker-process and network RPC paths.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -24,17 +22,14 @@ REDUCERS = ("mean", "sum", "max", "count")
 
 
 def _sharded(n_shards=3, backend="serial", server=None, **kwargs):
-    """A sharded store for one backend, with a sensible worker width.
+    """A sharded store for one backend.
 
     ``server`` is the loopback ``ShardServer`` the tcp backend dials
     (``n_shards`` sessions against the one listener).
     """
-    workers = n_shards if backend == "threads" else 1
     if backend == "tcp":
         kwargs["shard_addrs"] = [server.address] * n_shards
-    return ShardedMetricStore(
-        n_shards=n_shards, workers=workers, backend=backend, **kwargs
-    )
+    return ShardedMetricStore(n_shards=n_shards, backend=backend, **kwargs)
 
 
 def _fill(store, n_servers=20, n_windows=30, pools=("A", "B"), dcs=("dc1", "dc2")):
@@ -63,11 +58,6 @@ class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardedMetricStore(n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedMetricStore(n_shards=2, workers=0)
-
-    def test_workers_capped_at_shards(self):
-        assert ShardedMetricStore(n_shards=2, workers=8).workers == 2
 
     def test_rows_actually_partitioned(self, pair):
         _single, sharded = pair
@@ -245,35 +235,16 @@ class TestIngestPaths:
         with pytest.raises(ValueError):
             series.values[0] = -1.0
 
-    def test_worker_pool_ingest_identical(self):
-        serial = _fill(ShardedMetricStore(n_shards=4, workers=1))
-        with ShardedMetricStore(n_shards=4, workers=4) as threaded:
-            _fill(threaded)
-            assert serial.sample_count() == threaded.sample_count()
-            for pool in serial.pools:
-                a = serial.pool_window_aggregate(pool, "cpu")
-                b = threaded.pool_window_aggregate(pool, "cpu")
-                np.testing.assert_array_equal(a.windows, b.windows)
-                np.testing.assert_array_equal(a.values, b.values)
-
     def test_close_is_idempotent(self):
-        store = ShardedMetricStore(n_shards=2, workers=2)
+        store = ShardedMetricStore(n_shards=2)
         _fill(store, n_servers=4, n_windows=2)
         store.close()
         store.close()
 
 
 class TestCloseRace:
-    """close() must be safe against in-flight ingest (threads backend).
-
-    The historical race: a ``_dispatch`` that passed the executor
-    check could submit to a pool ``close()`` had just shut down and
-    die with the executor's own ``cannot schedule new futures``
-    RuntimeError — an internals leak, and on remote backends a write
-    to a torn-down connection.  The fix makes ingest-after-close a
-    deterministic, clearly worded ``RuntimeError`` and the racing
-    window atomic under the lifecycle lock.
-    """
+    """Ingest after close() is a clear ``RuntimeError`` on every
+    backend, never a write to a torn-down shard handle."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ingest_after_close_raises_cleanly(self, backend, shard_server):
@@ -285,50 +256,6 @@ class TestCloseRace:
             store.record_batch("P", "dc", "cpu", 1, ids, np.ones(2))
         with pytest.raises(RuntimeError, match="closed"):
             store.record_many([CounterSample(1, "a", "P", "dc", "cpu", 1.0)])
-
-    def test_close_concurrent_with_ingest_threads_backend(self):
-        """Hammer ingest from one thread while close() lands on another.
-
-        The facade's contract is one ingesting caller; the fixed race
-        is that caller being mid-``_dispatch`` when a second thread
-        (a ``finally:`` block, an ``atexit`` hook) calls ``close()``.
-        The racing ``record_batch`` must either complete or raise the
-        clean closed-store error; anything else (the executor's
-        'cannot schedule new futures', a write to a torn-down handle)
-        is the regression.  Several attempts widen the race window.
-        """
-        for _attempt in range(5):
-            store = ShardedMetricStore(n_shards=4, workers=4, backend="threads")
-            ids = store.intern_servers([f"s{i}" for i in range(32)])
-            # Warm the executor so close() has something to drain.
-            store.record_batch("P", "dc", "cpu", 0, ids, np.ones(32))
-            unexpected = []
-            started = threading.Event()
-
-            def ingest():
-                started.set()
-                window = 1
-                while True:
-                    try:
-                        store.record_batch(
-                            "P", "dc", "cpu", window, ids, np.ones(32)
-                        )
-                    except RuntimeError as error:
-                        if "closed" not in str(error):
-                            unexpected.append(error)
-                        return
-                    except BaseException as error:  # noqa: BLE001
-                        unexpected.append(error)
-                        return
-                    window += 1
-
-            thread = threading.Thread(target=ingest)
-            thread.start()
-            started.wait()
-            store.close()
-            thread.join(30)
-            assert not thread.is_alive()
-            assert not unexpected, unexpected
 
 
 class TestExport:

@@ -31,13 +31,10 @@ from repro.telemetry.sharding import BACKENDS, ShardedMetricStore
 
 
 def _sharded(n_shards=3, backend="serial", server=None):
-    workers = n_shards if backend == "threads" else 1
     kwargs = {}
     if backend == "tcp":
         kwargs["shard_addrs"] = [server.address] * n_shards
-    return ShardedMetricStore(
-        n_shards=n_shards, workers=workers, backend=backend, **kwargs
-    )
+    return ShardedMetricStore(n_shards=n_shards, backend=backend, **kwargs)
 
 
 def _run(engine: str, seed: int = 41, windows: int = 180, store=None, **config_kwargs):
@@ -226,7 +223,7 @@ class TestBatchedEquivalence:
 
 class TestShardedEquivalence:
     """Sharded batch ingest is bit-identical to the single-store engine,
-    whichever backend (serial / threads / processes / tcp) holds the
+    whichever backend (serial / processes / tcp) holds the
     shards."""
 
     @pytest.mark.parametrize("n_shards", [2, 3, 5])
@@ -243,13 +240,6 @@ class TestShardedEquivalence:
             sharded = _run("batch", store=store)
             _assert_stores_identical(single, sharded)
 
-    def test_worker_pool_matches_serial(self):
-        """Thread fan-out stores the same rows as serial fan-out."""
-        serial = _run("batch", store=ShardedMetricStore(n_shards=4, workers=1))
-        with ShardedMetricStore(n_shards=4, workers=4) as store:
-            threaded = _run("batch", store=store)
-            _assert_stores_identical(serial, threaded)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sharded_blocked_matches_single_blocked(self, backend, shard_server):
         """Sharding composes with cross-window block emission."""
@@ -265,7 +255,7 @@ class TestShardedEquivalence:
         )
         _assert_stores_identical(single, sharded)
 
-    @pytest.mark.parametrize("backend", ("threads", "processes", "tcp"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_exports_byte_identical(self, backend, tmp_path, shard_server):
         """The archive written through any backend is byte-identical."""
         from repro.telemetry.export import export_store

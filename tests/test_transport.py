@@ -4,9 +4,8 @@ Equivalence of the ``tcp`` backend (bit-identical queries,
 byte-identical exports) is proven by the backend-parametrized suites
 in ``test_sharded_store.py`` / ``test_sim_equivalence.py``; this file
 covers what is specific to the transport itself: the length-prefixed
-frame codec (pickle and binary column frames, including the
-per-session capability negotiation with PR 4 peers), ``host:port``
-parsing, the connect-retry window, the one-connection-one-shard
+frame codec (pickle frames behind a restricted unpickler, binary
+column frames for every ingest), ``host:port`` parsing, the connect-retry window, the one-connection-one-shard
 server (``ShardServer``), both shutdown paths (``stop`` message vs
 clean EOF), the pipelined ingest path (bounded queue, ordering,
 close-with-frames-in-flight) and — the operational headline — that a
@@ -14,18 +13,28 @@ server dying *or hanging* mid-run surfaces as a clear error on the
 client, never a hang.
 """
 
+import builtins
+import os
+import pickle
 import socket
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.telemetry import transport as transport_module
+from repro.telemetry.series import TimeSeries
 from repro.telemetry.sharding import ShardedMetricStore
 from repro.telemetry.store import MetricStore, ServerInterner
 from repro.telemetry.transport import (
+    FRAME_BINARY_INGEST,
     MAX_FRAME_BYTES,
     TcpTransport,
+    _HEADER,
+    _KIND_SHIFT,
     _encode_binary_ingest,
     format_address,
     parse_address,
@@ -368,39 +377,8 @@ def _serving_listener(serve, host="127.0.0.1"):
     return format_address(*listener.getsockname()[:2])
 
 
-def _pr4_serve(transport):
-    """A faithful PR 4 serve loop: pickle frames only, and *no*
-    ``protocol_capabilities`` handler — the probe resolves against the
-    store and answers ``AttributeError``, exactly like the old code."""
-    store = MetricStore()
-    while True:
-        try:
-            message = transport.recv()
-        except (EOFError, OSError):
-            break
-        kind = message[0]
-        if kind == "ingest":
-            for name in message[1]:
-                store.interner.intern(name)
-            for method, args in message[2]:
-                getattr(store, method)(*args)
-        elif kind == "call":
-            for name in message[1]:
-                store.interner.intern(name)
-            try:
-                attr = getattr(store, message[2])
-                result = attr(*message[3], **message[4]) if callable(attr) else attr
-                reply = ("ok", result)
-            except BaseException as error:  # noqa: BLE001
-                reply = ("err", error)
-            transport.send(reply)
-        elif kind == "stop":
-            break
-    transport.close()
-
-
 class TestBinaryFrames:
-    """The kind-1 binary column frame and its per-session negotiation."""
+    """The kind-1 binary column frame: the only encoding of ingest."""
 
     def _ingest_message(self, n_rows=1000):
         return (
@@ -430,7 +408,6 @@ class TestBinaryFrames:
     def test_binary_roundtrip_bit_identical(self):
         client, server = _loopback_pair()
         try:
-            client.binary_frames = True
             names, commands = self._ingest_message()
             client.send_ingest(names, commands)
             kind, got_names, got_commands = server.recv()
@@ -451,52 +428,58 @@ class TestBinaryFrames:
             client.close()
             server.close()
 
-    def test_unnegotiated_session_sends_pickle(self):
-        """Without the capability handshake the encoder must not be
-        used, whatever the message looks like."""
-        client, server = _loopback_pair()
-        try:
-            assert client.binary_frames is False
-            names, commands = self._ingest_message(n_rows=8)
-            client.send_ingest(names, commands)
-            message = server.recv()
-            assert message[0] == "ingest" and message[1] == names
-        finally:
-            client.close()
-            server.close()
-
     @pytest.mark.parametrize(
         "windows",
         [np.arange(8, dtype=np.int64)[::2], np.arange(4, dtype=np.int32)],
         ids=["non-contiguous", "int32"],
     )
-    def test_odd_columns_fall_back_to_pickle(self, windows):
-        """One column outside the fixed contiguous int64 layout degrades
-        the whole frame to pickle — never a partial/mixed encoding."""
+    def test_odd_columns_cross_as_binary(self, windows):
+        """A column outside the contiguous int64 layout is converted, so
+        the frame is still kind 1 and carries equal values."""
         client, server = _loopback_pair()
         try:
-            client.binary_frames = True
             names, commands = self._ingest_message(n_rows=8)
             commands.append((
                 "record_columns",
                 ("P", "dc", "cpu", windows, np.zeros(4, dtype=np.int64), np.ones(4)),
             ))
-            assert _encode_binary_ingest(names, commands) is None
             client.send_ingest(names, commands)
+            header = server._sock.recv(
+                _HEADER.size, socket.MSG_PEEK | socket.MSG_WAITALL
+            )
+            assert _HEADER.unpack(header)[0] >> _KIND_SHIFT == FRAME_BINARY_INGEST
             kind, got_names, got = server.recv()
             assert kind == "ingest" and got_names == names
-            assert got[-1][1][3].dtype == windows.dtype
+            assert got[-1][1][3].dtype == np.int64
             np.testing.assert_array_equal(got[-1][1][3], windows)
             np.testing.assert_array_equal(got[0][1][3], commands[0][1][3])
         finally:
             client.close()
             server.close()
 
-    def test_client_negotiates_binary_with_live_server(self, shard_server):
+    def test_live_session_receives_kind1_frames(self, shard_server, monkeypatch):
+        """Every ingest a live client sends decodes as a kind-1 frame;
+        no ingest message is ever unpickled by the server."""
+        decoded = []
+        unpickled = []
+        decode = transport_module._decode_binary_ingest
+        unpickle = transport_module._unpickle_frame
+
+        def spy_decode(payload):
+            message = decode(payload)
+            decoded.append(message)
+            return message
+
+        def spy_unpickle(payload):
+            message = unpickle(payload)
+            unpickled.append(message[0])
+            return message
+
+        monkeypatch.setattr(transport_module, "_decode_binary_ingest", spy_decode)
+        monkeypatch.setattr(transport_module, "_unpickle_frame", spy_unpickle)
         interner = ServerInterner()
-        client = TcpShardClient(0, interner, shard_server.address)
+        client = TcpShardClient(0, interner, shard_server.address, flush_rows=2)
         try:
-            assert client._transport.binary_frames is True
             idx = np.array([interner.intern("s0")], dtype=np.int64)
             for window in range(5):
                 client.record_columns(
@@ -507,67 +490,194 @@ class TestBinaryFrames:
             np.testing.assert_array_equal(series.windows, np.arange(5))
         finally:
             client.close()
+        assert sum(len(message[2]) for message in decoded) == 5
+        assert "ingest" not in unpickled
 
-    def test_pr4_peer_falls_back_to_pickle(self):
-        """New client, old server: the probe's AttributeError answer
-        downgrades the session to pickle frames and everything works."""
-        address = _serving_listener(_pr4_serve)
-        interner = ServerInterner()
-        client = TcpShardClient(0, interner, address)
-        try:
-            assert client._transport.binary_frames is False
-            idx = np.array([interner.intern("s0")], dtype=np.int64)
-            client.record_columns(
-                "P", "dc", "cpu", np.array([7]), idx, np.full(1, 3.0)
+
+class _RunsCode:
+    """Pickles to a call of ``func(*args)`` — what a hostile peer sends."""
+
+    def __init__(self, func, *args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+def _pickle_frame(obj) -> bytes:
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(payload)) + payload
+
+
+def _recv_all(data: bytes):
+    """Feed raw bytes to a transport and read frames until it fails.
+
+    Returns the decoded messages and the exception that ended the
+    stream (the writer closes after ``data``, so one always does).
+    """
+    reader, writer = socket.socketpair()
+    writer.sendall(data)
+    writer.close()
+    transport = TcpTransport(reader, io_timeout=5.0)
+    messages = []
+    try:
+        while True:
+            messages.append(transport.recv())
+    except Exception as error:  # noqa: BLE001 — the verdict under test
+        return messages, error
+    finally:
+        transport.close()
+
+
+class TestRestrictedUnpickling:
+    """Kind-0 frames may only build the protocol's own data types."""
+
+    @pytest.mark.parametrize(
+        "make_call",
+        [
+            lambda marker: (os.system, f"touch {marker}"),
+            lambda marker: (builtins.eval, f"open({str(marker)!r}, 'w')"),
+            lambda marker: (builtins.exec, f"open({str(marker)!r}, 'w')"),
+        ],
+        ids=["os.system", "builtins.eval", "builtins.exec"],
+    )
+    def test_code_running_pickle_is_refused(self, make_call, tmp_path):
+        marker = tmp_path / "ran"
+        func, arg = make_call(marker)
+        frame = _pickle_frame(("call", [], "sample_count", (_RunsCode(func, arg),), {}))
+        messages, error = _recv_all(frame)
+        assert messages == []
+        assert isinstance(error, ConnectionError)
+        assert "disallowed global" in str(error)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize(
+        "memo_opcode",
+        [b"p1000000\n", b"q\xff", b"r" + (10**6).to_bytes(4, "little")],
+        ids=["PUT", "BINPUT", "LONG_BINPUT"],
+    )
+    def test_indexed_memo_opcodes_are_refused(self, memo_opcode):
+        """An explicit memo index sizes the unpickler's memo table, so a
+        frame could make the reader allocate gigabytes; refuse it."""
+        payload = b"\x80\x05N" + memo_opcode + b"."
+        messages, error = _recv_all(_HEADER.pack(len(payload)) + payload)
+        assert messages == []
+        assert isinstance(error, ConnectionError)
+        assert "memo opcode" in str(error)
+
+    def test_shard_server_drops_the_session(self):
+        """The server-side reader ends the session on a refused frame
+        and keeps serving other sessions."""
+        with ShardServer() as server:
+            hostile = TcpTransport.connect(server.address)
+            hostile._sock.sendall(
+                _pickle_frame(("call", [], "sample_count", (_RunsCode(print, "x"),), {}))
             )
-            assert client.sample_count() == 1
-        finally:
+            with pytest.raises((EOFError, ConnectionError)):
+                hostile.recv()
+            hostile.close()
+            client = TcpShardClient(0, ServerInterner(), server.address)
+            assert client.sample_count() == 0
             client.close()
 
-    def test_binary_frames_false_skips_probe(self, shard_server):
-        interner = ServerInterner()
-        client = TcpShardClient(
-            0, interner, shard_server.address, binary_frames=False
+    @pytest.mark.parametrize(
+        "message",
+        [
+            ("ok", TimeSeries(np.arange(3), np.linspace(0.0, 1.0, 3))),
+            ("ok", (np.arange(6)[::2], np.float64(2.5), np.int64(7), True)),
+            ("ok", {"a": np.zeros((2, 2)).T, "b": [1, 2.0, "x", None]}),
+            ("err", IngestCommandError("refused")),
+            ("err", KeyError("missing")),
+            ("call", ["s0"], "pool_window_aggregate", ("P", "cpu"), {"reducer": "sum"}),
+        ],
+        ids=["timeseries", "arrays-and-scalars", "containers", "repro-error",
+             "builtin-error", "call"],
+    )
+    def test_protocol_messages_still_decode(self, message):
+        messages, error = _recv_all(_pickle_frame(message))
+        assert isinstance(error, EOFError)
+        assert len(messages) == 1
+        got = messages[0]
+        assert [type(part) for part in got] == [type(part) for part in message]
+        assert repr(got) == repr(message)
+
+
+def _valid_frames():
+    """One well-formed frame of each kind, for the fuzzer to mutate."""
+    names = ["srv-0"]
+    commands = [(
+        "record_columns",
+        ("P", "dc", "cpu", np.arange(4, dtype=np.int64),
+         np.zeros(4, dtype=np.int64), np.linspace(0.0, 1.0, 4)),
+    )]
+    binary = b"".join(bytes(b) for b in _encode_binary_ingest(names, commands))
+    return [
+        binary,
+        _pickle_frame(("ok", TimeSeries(np.arange(3), np.ones(3)))),
+        _pickle_frame(("err", IngestCommandError("refused"))),
+        _pickle_frame(("call", names, "server_series", ("P", "cpu", "s"), {})),
+    ]
+
+
+_VALID_FRAMES = _valid_frames()
+
+
+def _huge_row_count_frame() -> bytes:
+    """A kind-1 frame whose u64 row count does not fit a signed size."""
+    text = b"".join(
+        len(field).to_bytes(4, "big") + field for field in (b"P", b"dc", b"cpu")
+    )
+    payload = (0).to_bytes(4, "big") + (1).to_bytes(4, "big") + text + b"\xff" * 8
+    return _HEADER.pack((FRAME_BINARY_INGEST << _KIND_SHIFT) | len(payload)) + payload
+
+
+@st.composite
+def _mutated_frames(draw):
+    data = bytearray(draw(st.sampled_from(_VALID_FRAMES)))
+    for _ in range(draw(st.integers(1, 4))):
+        position = draw(st.integers(0, len(data) - 1))
+        action = draw(st.sampled_from(("flip", "set", "cut", "insert")))
+        if action == "flip":
+            data[position] ^= 1 << draw(st.integers(0, 7))
+        elif action == "set":
+            data[position] = draw(st.integers(0, 255))
+        elif action == "cut":
+            del data[position:]
+            if not data:
+                break
+        else:
+            data[position:position] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+class TestFrameFuzz:
+    @settings(
+        max_examples=300,
+        deadline=2000,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=48).map(
+                lambda payload: _HEADER.pack(len(payload)) + payload
+            ),
+            st.binary(max_size=48).map(
+                lambda payload: _HEADER.pack(
+                    (FRAME_BINARY_INGEST << _KIND_SHIFT) | len(payload)
+                ) + payload
+            ),
+            _mutated_frames(),
         )
-        try:
-            assert client._transport.binary_frames is False
-            idx = np.array([interner.intern("s0")], dtype=np.int64)
-            client.record_columns("P", "dc", "cpu", np.array([0]), idx, np.ones(1))
-            assert client.sample_count() == 1
-        finally:
-            client.close()
-
-    def test_wire_formats_store_identically(self, shard_server):
-        """Pickle session and binary session build bit-identical shards."""
-        results = []
-        for binary in (False, True):
-            interner = ServerInterner()
-            client = TcpShardClient(
-                0, interner, shard_server.address,
-                binary_frames=binary, pipeline_depth=0,
-            )
-            try:
-                ids = np.array(
-                    [interner.intern(f"s{i}") for i in range(6)], dtype=np.int64
-                )
-                rng = np.random.default_rng(5)
-                for window in range(8):
-                    client.record_columns(
-                        "P", "dc", "cpu",
-                        np.full(6, window, dtype=np.int64),
-                        ids,
-                        rng.uniform(0, 100, 6),
-                    )
-                results.append(
-                    (
-                        client.sample_count(),
-                        client.pool_window_aggregate("P", "cpu", reducer="sum"),
-                    )
-                )
-            finally:
-                client.close()
-        assert results[0][0] == results[1][0] == 48
-        np.testing.assert_array_equal(results[0][1].values, results[1][1].values)
+    )
+    @example(_huge_row_count_frame())
+    def test_garbage_frames_end_in_eof_or_connection_error(self, data):
+        """Whatever a peer sends, ``recv`` either decodes it or ends the
+        session with one of the two verdicts the serve loops handle."""
+        started = time.monotonic()
+        _messages, error = _recv_all(data)
+        assert isinstance(error, (EOFError, ConnectionError)), repr(error)
+        assert time.monotonic() - started < 2.0
 
 
 class TestIoTimeout:
@@ -585,8 +695,7 @@ class TestIoTimeout:
         address = _serving_listener(hang)
         interner = ServerInterner()
         client = TcpShardClient(
-            3, interner, address, io_timeout=0.4, binary_frames=False,
-            pipeline_depth=0,
+            3, interner, address, io_timeout=0.4, pipeline_depth=0,
         )
         started = time.monotonic()
         with pytest.raises(RuntimeError) as excinfo:
@@ -607,25 +716,13 @@ class TestIoTimeout:
         finally:
             client.close()
 
-    def test_probe_against_hung_peer_is_bounded_too(self):
-        def hang(transport):
-            try:
-                while True:
-                    transport.recv()
-            except (EOFError, OSError):
-                pass
-
-        address = _serving_listener(hang)
-        with pytest.raises(RuntimeError, match="timed out"):
-            TcpShardClient(0, ServerInterner(), address, io_timeout=0.4)
-
 
 class TestPipelinedIngest:
     """The bounded send queue: backpressure, ordering, clean teardown."""
 
     def _slow_reader(self):
         """An accepted connection nobody reads until ``release`` is set;
-        afterwards a PR 4-faithful loop drains it.  A small receive
+        afterwards a minimal serve loop drains it.  A small receive
         buffer — set on the *listener*, before accept, because
         shrinking it on a live connection stalls the TCP window —
         makes the writer thread block in sendall quickly."""
@@ -669,7 +766,7 @@ class TestPipelinedIngest:
         address = format_address(*listener.getsockname()[:2])
         return address, release, store, done
 
-    #: Rows per frame in the slow-reader tests: ~9.6 MB pickled, far
+    #: Rows per frame in the slow-reader tests: ~9.6 MB on the wire, far
     #: beyond any combination of loopback socket buffers, so one frame
     #: reliably wedges the writer's sendall until the reader drains.
     BIG_ROWS = 400_000
@@ -687,8 +784,7 @@ class TestPipelinedIngest:
         interner = ServerInterner()
         client = TcpShardClient(
             0, interner, address,
-            flush_rows=1, pipeline_depth=2,
-            binary_frames=False, io_timeout=30,
+            flush_rows=1, pipeline_depth=2, io_timeout=30,
         )
         try:
             blocked = threading.Event()
@@ -754,8 +850,7 @@ class TestPipelinedIngest:
         # ride on the I/O timeout expiring.
         client = TcpShardClient(
             0, interner, address,
-            flush_rows=1, pipeline_depth=2,
-            binary_frames=False, io_timeout=30,
+            flush_rows=1, pipeline_depth=2, io_timeout=30,
         )
         try:
             # Two frames: one wedges in the writer's sendall, one sits

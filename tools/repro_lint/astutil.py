@@ -120,8 +120,8 @@ def mutating_methods(cls: ast.ClassDef, cache_attrs: Set[str]) -> Set[str]:
     A method mutates if it assigns/augments/deletes ``self.<attr>`` (or
     a subscript of one), or calls a :data:`MUTATING_CALLS` method on a
     ``self.<attr>`` object — except when the attribute is in
-    ``cache_attrs`` (memoization caches and lazily created executors
-    are write-backed reads, not logical mutations).  Mutation propagates
+    ``cache_attrs`` (memoization caches are write-backed reads, not
+    logical mutations).  Mutation propagates
     through same-class ``self.helper()`` calls to a fixed point, so a
     thin public wrapper around a mutating helper is itself a mutator.
     ``__init__`` is constructor territory and exempt.

@@ -45,7 +45,6 @@ RULE_MODULES = (
     "rule_determinism",
     "rule_lock_discipline",
     "rule_rpc_surface",
-    "rule_wire_capabilities",
 )
 
 _SUPPRESS = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_, -]+)")
@@ -168,7 +167,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="AST-based invariant checks for src/repro "
-        "(determinism, lock discipline, RPC surface, wire capabilities).",
+        "(determinism, lock discipline, RPC surface).",
     )
     parser.add_argument(
         "--root",

@@ -47,7 +47,7 @@ WORKERS = "src/repro/telemetry/workers.py"
 QUERY = "src/repro/telemetry/query_server.py"
 
 #: Wire verbs the serve loop answers itself, before ``getattr``.
-RESERVED_WIRE_METHODS = {"resync", "protocol_capabilities"}
+RESERVED_WIRE_METHODS = {"resync"}
 #: Classes whose union is the client-proxy surface ``getattr(member,
 #: method)`` resolves against (replica fan-out, journal replay).
 CLIENT_CLASSES = (
@@ -60,8 +60,8 @@ CLIENT_CLASSES = (
 #: The deny-list constant the query server must define.
 MUTATOR_CONSTANT = "STORE_MUTATORS"
 #: ``self.<attr>`` writes that are memoization/lazy-init, not logical
-#: store mutations (aggregate caches, partition plans, executors).
-CACHE_ATTRS = {"_agg_cache", "_partition_cache", "_executor"}
+#: store mutations (aggregate caches, partition plans).
+CACHE_ATTRS = {"_agg_cache", "_partition_cache"}
 
 Findings = List[Tuple[str, int, str]]
 
@@ -158,16 +158,7 @@ def _check_sharding_dispatch(
             continue
         func = node.func
         attr = func.attr if isinstance(func, ast.Attribute) else None
-        if attr == "_dispatch" and len(node.args) >= 2:
-            name = str_const(node.args[1])
-            if name is not None and name not in metric_surface:
-                out.append((
-                    sharding.rel,
-                    node.lineno,
-                    f"dispatches method {name!r} to shards, but MetricStore "
-                    f"defines no such method",
-                ))
-        elif attr == "append" and len(node.args) >= 2:
+        if attr == "append" and len(node.args) >= 2:
             # Journal appends: self._journals[i].append("method", args, n)
             # or `for journal in ...: journal.append(...)`.
             is_journal = self_attr_root(func.value) == "_journals" or (
